@@ -27,6 +27,7 @@ from .entanglement import (
     concurrence,
     concurrence_oracle,
     negativity,
+    negativity_grid,
     negativity_oracle,
     sigma,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "layout_parallelepiped",
     "layout_rectangle",
     "negativity",
+    "negativity_grid",
     "negativity_oracle",
     "probability_grid",
     "rect_P",

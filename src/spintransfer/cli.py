@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dynamics import probability_grid, tau_grid
-from .entanglement import Bipartition
-from .geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR
-from .search import SYSTEM_KINDS, System, hpst_times, sweep1d, sweep2d
+from .dynamics import tau_grid
+from .entanglement import Bipartition, negativity_grid
+from .search import FIELD_MODES, SYSTEM_KINDS, System, hpst_times, sweep1d, sweep2d
 from .verify import run_all
 
 __all__ = ["main"]
@@ -46,14 +45,10 @@ def _write_csv(path: str, header, rows) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _probability_table(system: System, T: float, dtau: float):
-    taus = tau_grid(T, dtau)
-    return taus, probability_grid(system.spectrum(), system.k0, taus)
-
-
 def cmd_simulate(args) -> int:
     system = _system_from(args)
-    taus, probs = _probability_table(system, args.T, args.dtau)
+    taus = tau_grid(args.T, args.dtau)
+    probs = system.probability_grid(taus)
     header = ["tau"] + [f"P_{m}" for m in range(1, system.n_nodes + 1)]
     _write_csv(args.out, header, zip(taus, *probs))
     return 0
@@ -74,13 +69,9 @@ def cmd_entangle(args) -> int:
     if not args.partition:
         raise ValueError("at least one --partition is required")
     parts = [_parse_partition(p, system.n_nodes) for p in args.partition]
-    taus, probs = _probability_table(system, args.T, args.dtau)
-    columns = []
-    for part in parts:
-        s_a = probs[[k - 1 for k in part.a]].sum(axis=0)
-        s_b = probs[[k - 1 for k in part.b]].sum(axis=0)
-        sig = 1.0 - s_a - s_b
-        columns.append((sig * sig + 4.0 * s_a * s_b) ** 0.5 - sig)
+    taus = tau_grid(args.T, args.dtau)
+    probs = system.probability_grid(taus)
+    columns = [negativity_grid(*part.weights(probs)) for part in parts]
     header = ["tau"] + [f"N_{p.label()}" for p in parts]
     _write_csv(args.out, header, zip(taus, *columns))
     return 0
@@ -102,7 +93,6 @@ def cmd_sweep(args) -> int:
             args.T,
             args.dtau,
             P0=args.p0,
-            threads=args.threads,
         )
         rows = ((d1, d2, fp) for (d1, d2), fp in zip(result.grid, result.fp))
         _write_csv(args.out, ["delta1", "delta2", "FP"], rows)
@@ -110,16 +100,14 @@ def cmd_sweep(args) -> int:
         return 0
     if args.delta_min is None or args.delta_max is None:
         raise ValueError("1D sweep requires --delta-min and --delta-max")
-    mode = FIELD_PERPENDICULAR if args.system == "rect-perp" else FIELD_ALONG_B
     result = sweep1d(
-        mode,
+        FIELD_MODES[args.system],
         (args.delta_min, args.delta_max),
         args.delta_step,
         args.T,
         args.dtau,
         P0=args.p0,
         with_fn=args.fn,
-        threads=args.threads,
     )
     if args.fn:
         _write_csv(args.out, ["delta", "FP", "FN"], zip(result.grid, result.fp, result.fn))
@@ -160,8 +148,6 @@ def _add_system_flags(sub, with_out: bool) -> None:
     sub.add_argument("--k0", type=int, default=1)
     sub.add_argument("--T", type=float, required=True, dest="T")
     sub.add_argument("--dtau", type=float, default=0.01)
-    sub.add_argument("--p0", type=float, default=0.9)
-    sub.add_argument("--threads", type=int, default=1)
     if with_out:
         sub.add_argument("--out", required=True)
 
@@ -190,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep", help="delta sweep of the min-max objectives")
     _add_system_flags(sub, with_out=True)
+    sub.add_argument("--p0", type=float, default=0.9)
     sub.add_argument("--delta-min", type=float, default=None)
     sub.add_argument("--delta-max", type=float, default=None)
     sub.add_argument("--delta-step", type=float, default=0.01)
@@ -204,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("peaks", help="arrival peaks and the transfer window")
     _add_system_flags(sub, with_out=False)
+    sub.add_argument("--p0", type=float, default=0.9)
     sub.set_defaults(func=cmd_peaks)
 
     sub = subs.add_parser("verify", help="run the cross-check suites")

@@ -49,16 +49,22 @@ def _check_node(k: int, n: int) -> None:
         raise ValueError(f"node index {k} outside 1..{n}")
 
 
+def _whole_steps(span: float, step: float) -> int:
+    # floor(span / step), a ratio within a relative 1e-9 below an integer
+    # counting as that integer: (26.4 - 26) / 0.1 = 3.999999999999986 gives 4.
+    return int(span / step * (1.0 + 1e-9))
+
+
 def tau_grid(T: float, dtau: float) -> np.ndarray:
-    """Uniform times tau_i = i * dtau for i = 0..K, K = round(T / dtau).
+    """Uniform times tau_i = i * dtau for i = 0..K, K = floor(T / dtau).
 
     Each point is the direct product i * dtau, not an accumulated sum, so
-    halving dtau yields a grid containing the coarse one exactly.
+    halving dtau yields a grid containing the coarse one exactly; a last
+    point that roundoff puts past T is clipped to T.
     """
-    if dtau <= 0 or T <= 0 or dtau > T:
-        raise ValueError("need 0 < dtau <= T")
-    K = int(round(T / dtau))
-    return np.arange(K + 1) * dtau
+    if not 0 < dtau <= T < np.inf:
+        raise ValueError(f"need 0 < dtau <= T < inf, got T={T!r}, dtau={dtau!r}")
+    return np.minimum(np.arange(_whole_steps(T, dtau) + 1) * dtau, T)
 
 
 def amplitude_grid(spectrum: Spectrum, k0: int, taus: np.ndarray) -> np.ndarray:
@@ -84,7 +90,7 @@ def evolve(spectrum: Spectrum, k0: int, tau: float) -> TransferState:
 
 
 def evolve_grid(spectrum: Spectrum, k0: int, T: float, dtau: float):
-    """States on the uniform grid tau_i = i * dtau, i = 0..round(T/dtau)."""
+    """States on the uniform grid tau_i = i * dtau, i = 0..floor(T/dtau)."""
     taus = tau_grid(T, dtau)
     amps = amplitude_grid(spectrum, k0, taus)
     probs = np.abs(amps) ** 2

@@ -23,6 +23,7 @@ __all__ = [
     "concurrence",
     "concurrence_oracle",
     "negativity",
+    "negativity_grid",
     "negativity_oracle",
 ]
 
@@ -52,6 +53,10 @@ class Bipartition:
             raise ValueError("parts must be disjoint")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    def weights(self, probs: np.ndarray):
+        """(S_A, S_B): probs summed over the nodes of each part, along axis 0."""
+        return tuple(probs[[k - 1 for k in part]].sum(axis=0) for part in (self.a, self.b))
 
     def label(self) -> str:
         """Compact rendering like '15_48' for a=(1,5), b=(4,8)."""
@@ -123,15 +128,16 @@ def concurrence_oracle(state: TransferState, i: int, j: int) -> float:
     return float(max(0.0, 2.0 * lam.max() - lam.sum()))
 
 
+def negativity_grid(s_a, s_b):
+    """Closed-form double negativity from the part weights S_A, S_B (scalars or arrays)."""
+    sig = 1.0 - s_a - s_b
+    return np.sqrt(sig * sig + 4.0 * s_a * s_b) - sig
+
+
 def negativity(state: TransferState, p: Bipartition) -> float:
     """Double negativity between the parts of p, from the closed form."""
-    n = state.n_nodes
-    _check_nodes(p.a + p.b, n)
-    probs = state.probabilities
-    s_a = probs[[k - 1 for k in p.a]].sum()
-    s_b = probs[[k - 1 for k in p.b]].sum()
-    sig = 1.0 - s_a - s_b
-    return float(np.sqrt(sig * sig + 4.0 * s_a * s_b) - sig)
+    _check_nodes(p.a + p.b, state.n_nodes)
+    return float(negativity_grid(*p.weights(state.probabilities)))
 
 
 def negativity_oracle(state: TransferState, p: Bipartition) -> float:

@@ -12,12 +12,13 @@ at least P0).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import probability_grid, tau_grid
+from .dynamics import _whole_steps, probability_grid, tau_grid
+from .entanglement import negativity_grid
 from .geometry import (
     FIELD_ALONG_B,
     FIELD_PERPENDICULAR,
@@ -41,9 +42,12 @@ __all__ = [
     "sweep2d",
 ]
 
-SYSTEM_KINDS = ("chain2", "rect-perp", "rect-along", "box")
-
 _KIND_NODES = {"chain2": 2, "rect-perp": 4, "rect-along": 4, "box": 8}
+
+SYSTEM_KINDS = tuple(_KIND_NODES)
+
+# Field mode of each rectangle kind; sweep1d takes the mode.
+FIELD_MODES = {"rect-perp": FIELD_PERPENDICULAR, "rect-along": FIELD_ALONG_B}
 
 # Interval membership uses fp >= p0 - margin.  Window endpoints are
 # conventionally quoted at two decimals, so a grid point whose best
@@ -72,16 +76,18 @@ class System:
     def __post_init__(self):
         if self.kind not in SYSTEM_KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
-        need_delta = self.kind in ("rect-perp", "rect-along")
-        need_pair = self.kind == "box"
-        if need_delta and self.delta is None:
-            raise ValueError(f"{self.kind} requires delta")
-        if need_pair and (self.delta1 is None or self.delta2 is None):
-            raise ValueError("box requires delta1 and delta2")
-        if not need_delta and self.delta is not None:
-            raise ValueError(f"{self.kind} takes no delta")
-        if not need_pair and (self.delta1 is not None or self.delta2 is not None):
-            raise ValueError(f"{self.kind} takes no delta1/delta2")
+        need = {"chain2": (), "box": ("delta1", "delta2")}.get(self.kind, ("delta",))
+        for name in ("delta", "delta1", "delta2"):
+            value = getattr(self, name)
+            if value is None:
+                if name in need:
+                    raise ValueError(f"{self.kind} requires {name}")
+            elif name not in need:
+                raise ValueError(f"{self.kind} takes no {name}")
+            elif not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not isinstance(self.k0, numbers.Integral) or isinstance(self.k0, bool):
+            raise ValueError(f"k0 must be an integer, got {self.k0!r}")
         if not 1 <= self.k0 <= self.n_nodes:
             raise ValueError(f"k0={self.k0} outside 1..{self.n_nodes}")
 
@@ -92,14 +98,16 @@ class System:
     def layout(self):
         if self.kind == "chain2":
             return layout_chain2()
-        if self.kind == "rect-perp":
-            return layout_rectangle(delta_to_b(self.delta), FIELD_PERPENDICULAR)
-        if self.kind == "rect-along":
-            return layout_rectangle(delta_to_b(self.delta), FIELD_ALONG_B)
-        return layout_parallelepiped(delta_to_b(self.delta1), delta_to_b(self.delta2))
+        if self.kind == "box":
+            return layout_parallelepiped(delta_to_b(self.delta1), delta_to_b(self.delta2))
+        return layout_rectangle(delta_to_b(self.delta), FIELD_MODES[self.kind])
 
     def spectrum(self) -> Spectrum:
         return diagonalize(build_D(coupling_matrix(self.layout())))
+
+    def probability_grid(self, taus: np.ndarray) -> np.ndarray:
+        """P_{k0 m}(tau_i) as an (N, len(taus)) array; see dynamics.probability_grid."""
+        return probability_grid(self.spectrum(), self.k0, taus)
 
 
 @dataclass(frozen=True)
@@ -130,17 +138,30 @@ class SweepResult:
     margin: float
 
 
-def _uniform_grid(lo: float, hi: float, step: float, strict: bool) -> np.ndarray:
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _uniform_grid(bounds, step: float, strict: bool) -> np.ndarray:
+    """lo + i * step for i = 0..floor((hi - lo) / step), clipped to hi."""
+    lo, hi, step = float(bounds[0]), float(bounds[1]), float(step)
+    _check_finite(range=(lo, hi), step=step)
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo or (strict and hi <= lo):
         raise ValueError(f"degenerate range [{lo}, {hi}]")
-    n = round((hi - lo) / step)
-    return lo + step * np.arange(n + 1)
+    return np.minimum(lo + step * np.arange(_whole_steps(hi - lo, step) + 1), hi)
 
 
-def _probabilities(system: System, taus: np.ndarray) -> np.ndarray:
-    return probability_grid(system.spectrum(), system.k0, taus)
+def _fp(probs: np.ndarray) -> float:
+    return float(probs.max(axis=1).min())
+
+
+def _fn(probs: np.ndarray) -> float:
+    i, j = np.triu_indices(probs.shape[0], 1)
+    return float(negativity_grid(probs[i], probs[j]).max(axis=1).min())
 
 
 def fp_value(system: System, T: float, dtau: float) -> float:
@@ -149,21 +170,12 @@ def fp_value(system: System, T: float, dtau: float) -> float:
     All N nodes count as targets, the initial node included (its
     objective is the return probability).
     """
-    probs = _probabilities(system, tau_grid(T, dtau))
-    return float(probs.max(axis=1).min())
+    return _fp(system.probability_grid(tau_grid(T, dtau)))
 
 
 def fn_value(system: System, T: float, dtau: float) -> float:
     """min over unordered node pairs of the best pairwise negativity."""
-    probs = _probabilities(system, tau_grid(T, dtau))
-    n = probs.shape[0]
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            sig = 1.0 - probs[i] - probs[j]
-            neg = np.sqrt(sig * sig + 4.0 * probs[i] * probs[j]) - sig
-            best = min(best, float(neg.max()))
-    return best
+    return _fn(system.probability_grid(tau_grid(T, dtau)))
 
 
 def _refine(taus: np.ndarray, y: np.ndarray, i: int, dtau: float):
@@ -187,8 +199,9 @@ def hpst_times(system: System, T: float, dtau: float, p0: float = 0.9):
     the largest tau_star once every node has a record, and None while
     any node is missing one.
     """
+    _check_finite(p0=p0)
     taus = tau_grid(T, dtau)
-    probs = _probabilities(system, taus)
+    probs = system.probability_grid(taus)
     records = []
     for m in range(1, system.n_nodes + 1):
         y = probs[m - 1]
@@ -200,11 +213,6 @@ def hpst_times(system: System, T: float, dtau: float, p0: float = 0.9):
             break
     window = max(r.tau_star for r in records) if len(records) == system.n_nodes else None
     return records, window
-
-
-def _rect_fp(delta: float, mode: str, k0: int, taus: np.ndarray) -> float:
-    spec = diagonalize(build_D(coupling_matrix(layout_rectangle(delta_to_b(delta), mode))))
-    return float(probability_grid(spec, k0, taus).max(axis=1).min())
 
 
 def _intervals_from_flags(grid: np.ndarray, flags: np.ndarray) -> tuple:
@@ -221,11 +229,20 @@ def _intervals_from_flags(grid: np.ndarray, flags: np.ndarray) -> tuple:
     return tuple(runs)
 
 
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _sweep(grid, systems, T: float, dtau: float, P0: float, margin: float, with_fn=False):
+    """SweepResult of one system per grid point, FP (and FN) from one probability grid each."""
+    _check_finite(P0=P0, margin=margin)
+    taus = tau_grid(T, dtau)
+    fp, fn = [], []
+    for system in systems:
+        probs = system.probability_grid(taus)
+        fp.append(_fp(probs))
+        if with_fn:
+            fn.append(_fn(probs))
+    fp = np.array(fp)
+    flags = fp >= P0 - margin
+    intervals = _intervals_from_flags(grid, flags) if grid.ndim == 1 else ()
+    return SweepResult(grid, fp, np.array(fn) if with_fn else None, intervals, flags, P0, margin)
 
 
 def sweep1d(
@@ -237,23 +254,14 @@ def sweep1d(
     P0: float = 0.9,
     with_fn: bool = False,
     margin: float = DISPLAY_MARGIN,
-    threads: int = 1,
 ) -> SweepResult:
     """Scan the rectangle objectives over delta for the given field mode."""
-    if mode not in (FIELD_PERPENDICULAR, FIELD_ALONG_B):
+    kind = next((k for k, m in FIELD_MODES.items() if m == mode), None)
+    if kind is None:
         raise ValueError(f"unknown field mode {mode!r}")
-    lo, hi = delta_range
-    grid = _uniform_grid(float(lo), float(hi), float(delta_step), strict=True)
-    taus = tau_grid(T, dtau)
-    fp = np.array(_ordered_map(lambda d: _rect_fp(d, mode, 1, taus), grid, threads))
-    fn = None
-    if with_fn:
-        kind = "rect-perp" if mode == FIELD_PERPENDICULAR else "rect-along"
-        fn = np.array(
-            _ordered_map(lambda d: fn_value(System(kind, delta=d), T, dtau), grid, threads)
-        )
-    flags = fp >= P0 - margin
-    return SweepResult(grid, fp, fn, _intervals_from_flags(grid, flags), flags, P0, margin)
+    grid = _uniform_grid(delta_range, delta_step, strict=True)
+    systems = (System(kind, delta=float(d)) for d in grid)
+    return _sweep(grid, systems, T, dtau, P0, margin, with_fn)
 
 
 def sweep2d(
@@ -264,7 +272,6 @@ def sweep2d(
     dtau: float,
     P0: float = 0.9,
     margin: float = DISPLAY_MARGIN,
-    threads: int = 1,
 ) -> SweepResult:
     """Scan the parallelepiped fp objective over the (delta1, delta2) grid.
 
@@ -275,16 +282,10 @@ def sweep2d(
         step1, step2 = steps
     except TypeError:
         step1 = step2 = steps
-    g1 = _uniform_grid(float(delta1_range[0]), float(delta1_range[1]), float(step1), strict=False)
-    g2 = _uniform_grid(float(delta2_range[0]), float(delta2_range[1]), float(step2), strict=False)
+    g1 = _uniform_grid(delta1_range, step1, strict=False)
+    g2 = _uniform_grid(delta2_range, step2, strict=False)
     if g1.size * g2.size > 1_000_000:
         raise ValueError(f"sweep grid has {g1.size * g2.size} points, cap is 1000000")
     grid = np.array([(d1, d2) for d1 in g1 for d2 in g2])
-
-    def point_fp(pair):
-        d1, d2 = pair
-        return fp_value(System("box", delta1=float(d1), delta2=float(d2)), T, dtau)
-
-    fp = np.array(_ordered_map(point_fp, grid, threads))
-    flags = fp >= P0 - margin
-    return SweepResult(grid, fp, None, (), flags, P0, margin)
+    systems = (System("box", delta1=float(d1), delta2=float(d2)) for d1, d2 in grid)
+    return _sweep(grid, systems, T, dtau, P0, margin)

@@ -26,7 +26,6 @@ from .geometry import (
     FIELD_ALONG_B,
     FIELD_PERPENDICULAR,
     coupling_matrix,
-    delta_to_b,
     layout_parallelepiped,
     layout_rectangle,
 )
@@ -90,16 +89,13 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
     taus = tau_grid(30.0, 0.01)
     for _ in range(draws):
         mode = FIELD_PERPENDICULAR if rng.random() < 0.5 else FIELD_ALONG_B
-        b = float(rng.uniform(0.3, 3.0))
-        c = coupling_matrix(layout_rectangle(b, mode)).d
-        spec = diagonalize(build_D(coupling_matrix(layout_rectangle(b, mode))))
-        compare(spec, 1, taus, closedforms.rect_P(taus, c[0, 2], c[0, 3]))
+        c = coupling_matrix(layout_rectangle(float(rng.uniform(0.3, 3.0)), mode))
+        compare(diagonalize(build_D(c)), 1, taus, closedforms.rect_P(taus, c.d[0, 2], c.d[0, 3]))
 
     taus = tau_grid(60.0, 0.01)
     for kind, delta in (("rect-perp", 1.0), ("rect-along", 0.5)):
-        sys = System(kind, delta=delta)
-        c = coupling_matrix(sys.layout()).d
-        compare(sys.spectrum(), 1, taus, closedforms.rect_degenerate_P(taus, c[0, 2]))
+        c = coupling_matrix(System(kind, delta=delta).layout())
+        compare(diagonalize(build_D(c)), 1, taus, closedforms.rect_degenerate_P(taus, c.d[0, 2]))
     compare(System("box", delta1=1.0, delta2=1.0).spectrum(), 1, taus, closedforms.cube_P(taus))
 
     return _result("closed-forms", dev, 1e-10)
@@ -143,9 +139,9 @@ def suite_spectra(draws: int = 200) -> SuiteResult:
     rng = np.random.default_rng(_SEED + 3)
     dev = 0.0
 
-    def compare(layout, analytic):
+    def compare(c, analytic):
         nonlocal dev
-        D = build_D(coupling_matrix(layout))
+        D = build_D(c)
         numeric = diagonalize(D)
         dev = max(dev, float(np.abs(analytic.eigenvalues - numeric.eigenvalues).max()))
         for spec in (analytic, numeric):
@@ -154,14 +150,12 @@ def suite_spectra(draws: int = 200) -> SuiteResult:
 
     for _ in range(draws):
         mode = FIELD_PERPENDICULAR if rng.random() < 0.5 else FIELD_ALONG_B
-        layout = layout_rectangle(float(rng.uniform(0.3, 3.0)), mode)
-        c = coupling_matrix(layout).d
-        compare(layout, analytic_rectangle_spectrum(c[0, 2], c[0, 3]))
+        c = coupling_matrix(layout_rectangle(float(rng.uniform(0.3, 3.0)), mode))
+        compare(c, analytic_rectangle_spectrum(c.d[0, 2], c.d[0, 3]))
 
     for _ in range(draws // 2):
-        layout = layout_parallelepiped(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
-        c = coupling_matrix(layout).d
-        compare(layout, analytic_parallelepiped_spectrum(list(c[0, 1:])))
+        c = coupling_matrix(layout_parallelepiped(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))))
+        compare(c, analytic_parallelepiped_spectrum(list(c.d[0, 1:])))
 
     return _result("spectra", dev, 1e-10)
 

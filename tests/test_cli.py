@@ -10,6 +10,9 @@ import pytest
 
 import spintransfer
 from spintransfer.cli import main
+from spintransfer.dynamics import evolve
+from spintransfer.entanglement import Bipartition, negativity
+from spintransfer.search import System
 from spintransfer.verify import SuiteResult
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -82,6 +85,13 @@ def test_entangle_box_partitions(tmp_path):
     header, data = _load_csv(out)
     assert header == ["tau", "N_15_48", "N_1458_2367"]
     assert np.all(data[:, 1:] >= -1e-12)
+    # each column is the library negativity of the evolved state
+    spec = System("box", delta1=9.0, delta2=26.2).spectrum()
+    parts = [Bipartition((1, 5), (4, 8)), Bipartition((1, 4, 5, 8), (2, 3, 6, 7))]
+    for row in data:
+        state = evolve(spec, 1, row[0])
+        for col, part in enumerate(parts, start=1):
+            assert abs(row[col] - negativity(state, part)) <= 1e-15
 
 
 def test_entangle_requires_partitions(tmp_path):
@@ -259,6 +269,27 @@ def test_unwritable_output_is_io_error(tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_non_finite_value_is_usage_error(tmp_path, capsys):
+    code = main(
+        ["simulate", "--system", "chain2", "--T", "nan", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert "T=nan" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_p0_only_where_it_is_read(tmp_path, capsys):
+    # peaks and sweep take --p0; simulate and entangle never read it
+    assert main(["peaks", "--system", "rect-along", "--delta", "4.3", "--T", "3.5",
+                 "--p0", "0.965"]) == 0
+    assert "T_window undefined" in capsys.readouterr().out
+    for flag in (["--p0", "0.5"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--system", "chain2", "--T", "1",
+                  "--out", str(tmp_path / "x.csv"), *flag])
+        assert err.value.code == 2
 
 
 def test_unknown_system_is_usage_error(tmp_path):

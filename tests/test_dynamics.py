@@ -46,6 +46,44 @@ def test_tau_grid_rejects_bad_step():
         tau_grid(1.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "T, dtau", [(np.nan, 0.01), (np.inf, 0.01), (1.0, np.nan), (1.0, np.inf), (-np.inf, 0.1)]
+)
+def test_tau_grid_rejects_non_finite(T, dtau):
+    with pytest.raises(ValueError, match="inf|nan"):
+        tau_grid(T, dtau)
+
+
+def test_tau_grid_stops_at_T():
+    # 1 / 0.35 = 2.86: the last whole step is 0.7, not 1.05
+    assert np.array_equal(tau_grid(1.0, 0.35), np.arange(3) * 0.35)
+    assert tau_grid(4.0 * np.pi, 0.01)[-1] <= 4.0 * np.pi
+    # 7 * 0.1 rounds to 0.7000000000000001; the grid stops at T itself
+    assert tau_grid(0.7, 0.1)[-1] == 0.7
+
+
+def test_tau_grid_sizes_of_even_ratios():
+    # ratios that divide evenly up to roundoff keep their last point
+    assert tau_grid(3.5, 0.01).size == 351
+    assert tau_grid(6.0, 0.001).size == 6001
+    assert tau_grid(10.0, 0.01).size == 1001
+    assert tau_grid(26.4 - 26.0, 0.1).size == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=1e-3, max_value=100.0, allow_nan=False),
+    st.floats(min_value=1e-3, max_value=1.0, allow_nan=False),
+)
+def test_tau_grid_points_within_T(T, frac):
+    dtau = T * frac
+    g = tau_grid(T, dtau)
+    assert g[0] == 0.0
+    assert np.all(g <= T)
+    # no whole step is lost beyond the 1e-9 roundoff allowance
+    assert g[-1] + dtau > T * (1.0 - 1e-9)
+
+
 def test_identity_at_tau_zero():
     spec = System("box", delta1=2.0, delta2=3.0).spectrum()
     state = evolve(spec, 5, 0.0)

@@ -11,6 +11,7 @@ from spintransfer.entanglement import (
     concurrence,
     concurrence_oracle,
     negativity,
+    negativity_grid,
     negativity_oracle,
     sigma,
 )
@@ -116,6 +117,23 @@ def test_negativity_one_vs_rest_values():
     p = 0.97
     state = TransferState(0.0, 1, np.array([np.sqrt(p), np.sqrt(1 - p)], dtype=complex), np.array([p, 1 - p]))
     assert negativity(state, Bipartition((1,), (2,))) == pytest.approx(0.3411744421846396, abs=1e-12)
+
+
+def test_negativity_grid_broadcasts_the_closed_form():
+    # scalars, arrays and mixed shapes give the pointwise closed form
+    assert negativity_grid(0.5, 0.5) == pytest.approx(1.0, abs=1e-15)
+    assert negativity_grid(1.0, 0.0) == 0.0
+    s_a = np.array([[0.1], [0.6]])
+    s_b = np.array([0.2, 0.3, 0.4])
+    grid = negativity_grid(s_a, s_b)
+    assert grid.shape == (2, 3)
+    for i in range(2):
+        for k in range(3):
+            assert grid[i, k] == negativity_grid(float(s_a[i, 0]), float(s_b[k]))
+    state = _state(tau=2.1)
+    part = Bipartition((1, 5), (4, 8))
+    s = state.probabilities
+    assert negativity(state, part) == negativity_grid(s[0] + s[4], s[3] + s[7])
 
 
 def test_negativity_one_vs_rest_depends_only_on_p():

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spintransfer.dynamics import probability_grid, tau_grid
+from spintransfer.entanglement import negativity_grid
 from spintransfer.geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR
 from spintransfer.search import (
     DISPLAY_MARGIN,
@@ -51,6 +55,28 @@ def test_system_validation():
     with pytest.raises(ValueError):
         System("chain2", k0=3)
     assert System("box", delta1=1.0, delta2=2.0).n_nodes == 8
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(kind="rect-perp", delta=np.nan),
+        dict(kind="rect-along", delta=np.inf),
+        dict(kind="rect-along", delta=-1.0),
+        dict(kind="box", delta1=np.nan, delta2=1.0),
+        dict(kind="box", delta1=1.0, delta2=np.inf),
+        dict(kind="chain2", k0=True),
+        dict(kind="chain2", k0=1.0),
+        dict(kind="chain2", k0="1"),
+    ],
+)
+def test_system_rejects_non_finite_and_mistyped(params):
+    with pytest.raises(ValueError, match="must be"):
+        System(**params)
+
+
+def test_system_accepts_numpy_integer_k0():
+    assert System("box", delta1=1.0, delta2=2.0, k0=np.int64(8)).k0 == 8
 
 
 def test_fp_frozen_rect_along():
@@ -117,6 +143,21 @@ def test_hpst_times_respects_threshold_before_refinement():
     assert all(r.p_star >= 0.965 for r in records)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["chain2", "rect-perp", "rect-along", "box"]),
+    delta=st.floats(min_value=0.5, max_value=30.0),
+    T=st.floats(min_value=0.05, max_value=12.0),
+    frac=st.floats(min_value=0.002, max_value=0.5),
+    p0=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_peaks_and_window_lie_in_time_range(kind, delta, T, frac, p0):
+    params = {"chain2": {}, "box": dict(delta1=delta, delta2=delta / 2.0)}.get(kind, {"delta": delta})
+    records, window = hpst_times(System(kind, **params), T, T * frac, p0=p0)
+    assert all(0.0 <= r.tau_star <= T for r in records)
+    assert window is None or 0.0 <= window <= T
+
+
 def test_hpst_records_meet_threshold():
     records, _ = hpst_times(System("box", delta1=9.0, delta2=26.2), 25.0, 0.01)
     assert all(r.p_star >= 0.9 for r in records)
@@ -178,13 +219,52 @@ def test_sweep1d_with_fn_column():
     res = sweep1d(FIELD_PERPENDICULAR, (6.8, 7.2), 0.1, 10.0, 0.02, with_fn=True)
     assert res.fn is not None and res.fn.shape == res.fp.shape
     assert np.all(res.fn >= 0.0)
+    # the sweep and the single-point objectives are one evaluation path
+    for k, delta in enumerate(res.grid):
+        system = System("rect-perp", delta=delta)
+        assert res.fp[k] == fp_value(system, 10.0, 0.02)
+        assert res.fn[k] == fn_value(system, 10.0, 0.02)
+    assert np.array_equal(res.fp, sweep1d(FIELD_PERPENDICULAR, (6.8, 7.2), 0.1, 10.0, 0.02).fp)
 
 
-def test_sweep1d_threads_bit_identical():
-    seq = sweep1d(FIELD_ALONG_B, (2.0, 3.0), 0.05, 3.5, 0.02)
-    par = sweep1d(FIELD_ALONG_B, (2.0, 3.0), 0.05, 3.5, 0.02, threads=4)
-    assert np.array_equal(seq.fp, par.fp)
-    assert seq.intervals == par.intervals
+def test_fn_value_is_min_over_pairs_of_best_negativity():
+    # the pair loop the vectorized objective replaces
+    system = System("box", delta1=9.0, delta2=26.2, k0=3)
+    probs = probability_grid(system.spectrum(), 3, tau_grid(5.0, 0.01))
+    best = min(
+        negativity_grid(probs[i], probs[j]).max() for i in range(8) for j in range(i + 1, 8)
+    )
+    assert fn_value(system, 5.0, 0.01) == best
+
+
+@pytest.mark.parametrize(
+    "mode, delta_range, size",
+    [
+        (FIELD_PERPENDICULAR, (4.0, 11.0), 701),
+        (FIELD_PERPENDICULAR, (2.0, 19.0), 1701),
+        (FIELD_ALONG_B, (2.0, 7.0), 501),
+        (FIELD_ALONG_B, (1.5, 31.0), 2951),
+    ],
+)
+def test_sweep_grid_sizes_unchanged(mode, delta_range, size):
+    # the delta grids of the frozen sweeps, on a two-point tau grid
+    res = sweep1d(mode, delta_range, 0.01, 0.1, 0.1)
+    assert res.grid.size == size
+    assert res.grid[-1] == delta_range[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(min_value=0.5, max_value=20.0),
+    span=st.floats(min_value=1e-3, max_value=2.0),
+    frac=st.floats(min_value=0.02, max_value=1.0),
+)
+def test_sweep_grid_points_within_range(lo, span, frac):
+    hi, step = lo + span, span * frac
+    res = sweep1d(FIELD_ALONG_B, (lo, hi), step, 0.1, 0.1)
+    assert res.grid[0] == lo and np.all(res.grid <= hi)
+    box = sweep2d((lo, hi), (lo, lo), step, 0.1, 0.1)
+    assert np.all(box.grid[:, 0] <= hi) and np.all(box.grid[:, 1] == lo)
 
 
 def test_sweep2d_line_through_box_point():
@@ -206,6 +286,47 @@ def test_sweep2d_cube_point_is_blocked():
 def test_sweep2d_resource_cap():
     with pytest.raises(ValueError):
         sweep2d((1.0, 200.0), (1.0, 200.0), 0.01, 5.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (((np.nan, 3.0), 0.1, 3.5, 0.1), {}),
+        (((2.0, np.inf), 0.1, 3.5, 0.1), {}),
+        (((2.0, 3.0), np.nan, 3.5, 0.1), {}),
+        (((2.0, 3.0), 0.1, np.nan, 0.1), {}),
+        (((2.0, 3.0), 0.1, 3.5, 0.1), {"P0": np.nan}),
+        (((2.0, 3.0), 0.1, 3.5, 0.1), {"margin": np.inf}),
+    ],
+)
+def test_sweep1d_rejects_non_finite(args, kwargs):
+    with pytest.raises(ValueError, match="nan|inf"):
+        sweep1d(FIELD_ALONG_B, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (((np.nan, 9.0), (26.0, 26.4), 0.1, 1.0, 0.1), {}),
+        (((9.0, 9.0), (26.0, np.inf), 0.1, 1.0, 0.1), {}),
+        (((9.0, 9.0), (26.0, 26.4), (0.1, np.nan), 1.0, 0.1), {}),
+        (((9.0, 9.0), (26.0, 26.4), 0.1, 1.0, np.nan), {}),
+        (((9.0, 9.0), (26.0, 26.4), 0.1, 1.0, 0.1), {"P0": np.nan}),
+        (((9.0, 9.0), (26.0, 26.4), 0.1, 1.0, 0.1), {"margin": np.nan}),
+    ],
+)
+def test_sweep2d_rejects_non_finite(args, kwargs):
+    with pytest.raises(ValueError, match="nan|inf"):
+        sweep2d(*args, **kwargs)
+
+
+@pytest.mark.parametrize("p0", [np.nan, np.inf])
+def test_hpst_times_rejects_non_finite_threshold(p0):
+    # p0=nan used to return ([], None) as if no node were reached
+    with pytest.raises(ValueError, match="p0"):
+        hpst_times(System("rect-along", delta=4.3), 3.5, 0.01, p0=p0)
+    with pytest.raises(ValueError, match="nan"):
+        hpst_times(System("rect-along", delta=4.3), np.nan, 0.01)
 
 
 def test_grid_refinement_monotonicity_spot():

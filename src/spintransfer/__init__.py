@@ -46,8 +46,7 @@ from .geometry import (
 from .hamiltonian import (
     SingleExcitationMatrix,
     Spectrum,
-    analytic_parallelepiped_spectrum,
-    analytic_rectangle_spectrum,
+    analytic_spectrum,
     build_D,
     diagonalize,
     sign_basis,
@@ -82,8 +81,7 @@ __all__ = [
     "System",
     "TransferState",
     "amplitude_grid",
-    "analytic_parallelepiped_spectrum",
-    "analytic_rectangle_spectrum",
+    "analytic_spectrum",
     "b_to_delta",
     "build_D",
     "concurrence",

@@ -9,6 +9,7 @@ the public surface.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,28 @@ class TransferState:
         return self.amplitudes.shape[0]
 
 
-def _check_node(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"node index {k} outside 1..{n}")
+# Cap on the steps of any one grid, and on the points of a sweep2d grid.
+_MAX_GRID_POINTS = 1_000_000
+
+
+def _check_node(k, n) -> None:
+    """Require a 1-based node index: an integer, not a bool, in 1..n."""
+    # type(k) is int excludes bool and skips the slower abstract-class check.
+    integral = type(k) is int or (isinstance(k, numbers.Integral) and not isinstance(k, bool))
+    if not (integral and 1 <= k <= n):
+        raise ValueError(f"node index {k!r} must be an integer in 1..{n}")
 
 
 def _whole_steps(span: float, step: float) -> int:
     # floor(span / step), a ratio within a relative 1e-9 below an integer
     # counting as that integer: (26.4 - 26) / 0.1 = 3.999999999999986 gives 4.
-    return int(span / step * (1.0 + 1e-9))
+    ratio = span / step * (1.0 + 1e-9)
+    if not ratio <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"a span of {span!r} in steps of {step!r} makes {ratio:.3g} grid steps, "
+            f"cap is {_MAX_GRID_POINTS}"
+        )
+    return int(ratio)
 
 
 def tau_grid(T: float, dtau: float) -> np.ndarray:

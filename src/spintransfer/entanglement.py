@@ -11,11 +11,12 @@ explicit partial transpose of the reduced density matrix on A u B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TransferState, density_element
+from .dynamics import TransferState, _check_node, density_element
 
 __all__ = [
     "Bipartition",
@@ -43,12 +44,14 @@ class Bipartition:
     b: tuple
 
     def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
-        b = tuple(int(x) for x in self.b)
+        a, b = tuple(self.a), tuple(self.b)
+        for k in a + b:
+            _check_node(k, math.inf)
+        a, b = tuple(map(int, a)), tuple(map(int, b))
         if not a or not b:
             raise ValueError("both parts must be nonempty")
-        if min(a + b) < 1 or len(set(a)) != len(a) or len(set(b)) != len(b):
-            raise ValueError("parts must hold distinct indices >= 1")
+        if len(set(a)) != len(a) or len(set(b)) != len(b):
+            raise ValueError("parts must hold distinct indices")
         if set(a) & set(b):
             raise ValueError("parts must be disjoint")
         object.__setattr__(self, "a", a)
@@ -63,16 +66,11 @@ class Bipartition:
         return "".join(map(str, self.a)) + "_" + "".join(map(str, self.b))
 
 
-def _check_nodes(nodes, n: int) -> None:
-    for k in nodes:
-        if not 1 <= k <= n:
-            raise ValueError(f"node index {k} outside 1..{n}")
-
-
 def sigma(state: TransferState, nodes) -> float:
     """Probability not carried by the given nodes, 1 - sum_n P_{k0 n}."""
     nodes = tuple(nodes)
-    _check_nodes(nodes, state.n_nodes)
+    for k in nodes:
+        _check_node(k, state.n_nodes)
     idx = [k - 1 for k in set(nodes)]
     return float(1.0 - state.probabilities[idx].sum())
 
@@ -136,7 +134,8 @@ def negativity_grid(s_a, s_b):
 
 def negativity(state: TransferState, p: Bipartition) -> float:
     """Double negativity between the parts of p, from the closed form."""
-    _check_nodes(p.a + p.b, state.n_nodes)
+    for k in p.a + p.b:
+        _check_node(k, state.n_nodes)
     return float(negativity_grid(*p.weights(state.probabilities)))
 
 
@@ -150,7 +149,8 @@ def negativity_oracle(state: TransferState, p: Bipartition) -> float:
     """
     n = state.n_nodes
     nodes = p.a + p.b
-    _check_nodes(nodes, n)
+    for k in nodes:
+        _check_node(k, n)
     m = len(nodes)
     if m > _MAX_ORACLE_NODES:
         raise ValueError(f"bipartition spans {m} nodes, oracle cap is {_MAX_ORACLE_NODES}")

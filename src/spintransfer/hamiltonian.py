@@ -21,8 +21,7 @@ __all__ = [
     "Spectrum",
     "build_D",
     "diagonalize",
-    "analytic_rectangle_spectrum",
-    "analytic_parallelepiped_spectrum",
+    "analytic_spectrum",
     "sign_basis",
 ]
 
@@ -70,89 +69,34 @@ def diagonalize(D: SingleExcitationMatrix) -> Spectrum:
     return Spectrum(eigenvalues=lam, eigenvectors=u)
 
 
-def _sorted_spectrum(lam: np.ndarray, u: np.ndarray) -> Spectrum:
+def analytic_spectrum(c: CouplingMatrix) -> Spectrum:
+    """Closed-form spectrum of D for the pair, the rectangle and the box.
+
+    For these clusters (N = 2, 4 or 8 nodes) every eigenvector of D is a
+    sign pattern of sign_basis, whatever the couplings.  Row 1 of
+    D u = lam u then gives each eigenvalue: with A_11 = 2 sum_k d_1k and
+    u_1j > 0, lam_j = sum_k d_1k (2 + u_kj / u_1j).
+
+    The couplings must have the symmetry of layout_chain2,
+    layout_rectangle or layout_parallelepiped, with nodes numbered as
+    there.  This is not checked: for other couplings with 2, 4 or 8 nodes
+    the result is not an eigensystem of D.
+    """
+    u = _SIGN_VECTORS.get(c.n_nodes)
+    if u is None:
+        raise ValueError(f"analytic spectrum needs 2, 4 or 8 nodes, got {c.n_nodes}")
+    lam = c.d[0] @ (2.0 + u / u[0])
     order = np.argsort(lam, kind="stable")
     return Spectrum(eigenvalues=lam[order], eigenvectors=u[:, order])
-
-
-def analytic_rectangle_spectrum(d13: float, d14: float) -> Spectrum:
-    """Closed-form spectrum of the rectangle's D matrix.
-
-    The four eigenvectors have components +-1/2 and do not depend on the
-    couplings; only the eigenvalues do, through g = 1 + d13 + d14.
-    """
-    u = 0.5 * np.array(
-        [
-            [1.0, 1.0, 1.0, 1.0],
-            [-1.0, 1.0, -1.0, 1.0],
-            [1.0, 1.0, -1.0, -1.0],
-            [-1.0, 1.0, 1.0, -1.0],
-        ]
-    )
-    g = 1.0 + d13 + d14
-    lam = np.array(
-        [
-            2.0 * g - 1.0 - d14 + d13,
-            2.0 * g + 1.0 + d14 + d13,
-            2.0 * g - 1.0 + d14 - d13,
-            2.0 * g + 1.0 - d14 - d13,
-        ]
-    )
-    return _sorted_spectrum(lam, u)
-
-
-# Sign patterns of the parallelepiped eigenvectors, one vector per row.
-_BOX_SIGNS = np.array(
-    [
-        [1, 1, 1, 1, 1, 1, 1, 1],
-        [1, 1, 1, 1, -1, -1, -1, -1],
-        [1, 1, -1, -1, 1, 1, -1, -1],
-        [1, 1, -1, -1, -1, -1, 1, 1],
-        [1, -1, 1, -1, 1, -1, 1, -1],
-        [1, -1, 1, -1, -1, 1, -1, 1],
-        [1, -1, -1, 1, 1, -1, -1, 1],
-        [1, -1, -1, 1, -1, 1, 1, -1],
-    ],
-    dtype=float,
-)
-
-
-def analytic_parallelepiped_spectrum(d) -> Spectrum:
-    """Closed-form spectrum of the parallelepiped's D matrix.
-
-    Parameters
-    ----------
-    d : sequence of 7 couplings (d12, d13, d14, d15, d16, d17, d18).
-
-    All eigenvector components are +-1/(2 sqrt 2); the eigenvalues are
-    3 g minus twice the sum of the couplings whose sign flips relative
-    to the first component, with g the sum of all seven couplings.
-    """
-    d12, d13, d14, d15, d16, d17, d18 = (float(x) for x in d)
-    g = d12 + d13 + d14 + d15 + d16 + d17 + d18
-    lam = 3.0 * g - 2.0 * np.array(
-        [
-            0.0,
-            d15 + d16 + d17 + d18,
-            d13 + d14 + d17 + d18,
-            d13 + d14 + d15 + d16,
-            d12 + d14 + d16 + d18,
-            d12 + d14 + d15 + d17,
-            d12 + d13 + d16 + d17,
-            d12 + d13 + d15 + d18,
-        ]
-    )
-    u = _BOX_SIGNS.T / (2.0 * _SQRT2)
-    return _sorted_spectrum(lam, u)
 
 
 def sign_basis(s: int) -> np.ndarray:
     """Orthonormal sign basis of dimension 2**s, one vector per row.
 
     Built by the doubling rule B_2M = ((1,1) x B_M, (1,-1) x B_M) / sqrt 2
-    from B_1 = {(1)}; every component has magnitude 2**(-s/2).  For s = 2
-    and s = 3 the rows span the rectangle and parallelepiped eigenvector
-    sets.
+    from B_1 = {(1)}; every component has magnitude 2**(-s/2).  For
+    s = 1, 2 and 3 the rows are the eigenvectors of the pair, rectangle
+    and parallelepiped, on which analytic_spectrum is built.
     """
     if not isinstance(s, (int, np.integer)) or not 1 <= s <= 10:
         raise ValueError("s must be an integer in [1, 10]")
@@ -162,3 +106,7 @@ def sign_basis(s: int) -> np.ndarray:
             [np.hstack([basis, basis]), np.hstack([basis, -basis])]
         ) / _SQRT2
     return basis
+
+
+# Eigenvectors of analytic_spectrum by node count, one per column.
+_SIGN_VECTORS = {2**s: sign_basis(s).T for s in (1, 2, 3)}

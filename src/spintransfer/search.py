@@ -12,12 +12,11 @@ at least P0).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _whole_steps, probability_grid, tau_grid
+from .dynamics import _MAX_GRID_POINTS, _check_node, _whole_steps, probability_grid, tau_grid
 from .entanglement import negativity_grid
 from .geometry import (
     FIELD_ALONG_B,
@@ -86,10 +85,7 @@ class System:
                 raise ValueError(f"{self.kind} takes no {name}")
             elif not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not isinstance(self.k0, numbers.Integral) or isinstance(self.k0, bool):
-            raise ValueError(f"k0 must be an integer, got {self.k0!r}")
-        if not 1 <= self.k0 <= self.n_nodes:
-            raise ValueError(f"k0={self.k0} outside 1..{self.n_nodes}")
+        _check_node(self.k0, self.n_nodes)
 
     @property
     def n_nodes(self) -> int:
@@ -284,8 +280,8 @@ def sweep2d(
         step1 = step2 = steps
     g1 = _uniform_grid(delta1_range, step1, strict=False)
     g2 = _uniform_grid(delta2_range, step2, strict=False)
-    if g1.size * g2.size > 1_000_000:
-        raise ValueError(f"sweep grid has {g1.size * g2.size} points, cap is 1000000")
+    if g1.size * g2.size > _MAX_GRID_POINTS:
+        raise ValueError(f"sweep grid has {g1.size * g2.size} points, cap is {_MAX_GRID_POINTS}")
     grid = np.array([(d1, d2) for d1 in g1 for d2 in g2])
     systems = (System("box", delta1=float(d1), delta2=float(d2)) for d1, d2 in grid)
     return _sweep(grid, systems, T, dtau, P0, margin)

@@ -16,6 +16,7 @@ from spintransfer.search import System
 from spintransfer.verify import SuiteResult
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def _load_csv(path):
@@ -280,6 +281,22 @@ def test_non_finite_value_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["simulate", "--system", "chain2", "--T", "1e308", "--dtau", "1e-10"], "1e+308"),
+        (["sweep", "--system", "rect-along", "--delta-min", "2", "--delta-max", "7",
+          "--delta-step", "1e-300", "--T", "3.5"], "1e-300"),
+    ],
+)
+def test_oversized_grid_is_usage_error(tmp_path, capsys, argv, value):
+    code = main([*argv, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert value in err and "cap is 1000000" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_p0_only_where_it_is_read(tmp_path, capsys):
     # peaks and sweep take --p0; simulate and entangle never read it
     assert main(["peaks", "--system", "rect-along", "--delta", "4.3", "--T", "3.5",
@@ -359,3 +376,16 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

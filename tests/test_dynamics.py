@@ -11,10 +11,11 @@ from spintransfer.dynamics import (
     evolve,
     evolve_grid,
     fidelity,
+    probability_grid,
     tau_grid,
 )
 from spintransfer.geometry import coupling_matrix
-from spintransfer.hamiltonian import analytic_rectangle_spectrum
+from spintransfer.hamiltonian import analytic_spectrum
 from spintransfer.search import System
 
 taus = st.floats(min_value=0.0, max_value=60.0, allow_nan=False)
@@ -51,6 +52,14 @@ def test_tau_grid_rejects_bad_step():
 )
 def test_tau_grid_rejects_non_finite(T, dtau):
     with pytest.raises(ValueError, match="inf|nan"):
+        tau_grid(T, dtau)
+
+
+@pytest.mark.parametrize("T, dtau", [(1e308, 1e-10), (2e6, 1.0)])
+def test_tau_grid_rejects_oversized(T, dtau):
+    # T / dtau overflows to inf in the first case and is finite but above
+    # the cap in the second; both fail before anything is allocated.
+    with pytest.raises(ValueError, match="cap is 1000000"):
         tau_grid(T, dtau)
 
 
@@ -114,6 +123,8 @@ def test_evolve_rejects_bad_source():
         evolve(spec, 0, 1.0)
     with pytest.raises(ValueError):
         evolve(spec, 3, 1.0)
+    with pytest.raises(ValueError, match="node index 2.5 must be an integer"):
+        probability_grid(spec, 2.5, np.zeros(1))
 
 
 def test_unitarity_over_random_draws():
@@ -142,18 +153,18 @@ def test_probabilities_are_basis_invariant(delta, tau):
     # numeric and analytic eigensystems disagree on vector signs and
     # degenerate rotations, never on probabilities
     sys = System("rect-perp", delta=delta)
-    d = coupling_matrix(sys.layout()).d
+    c = coupling_matrix(sys.layout())
     numeric = evolve(sys.spectrum(), 1, tau)
-    analytic = evolve(analytic_rectangle_spectrum(d[0, 2], d[0, 3]), 1, tau)
+    analytic = evolve(analytic_spectrum(c), 1, tau)
     assert np.allclose(numeric.probabilities, analytic.probabilities, atol=1e-10)
 
 
 def test_probabilities_basis_invariant_at_degeneracy():
     sys = System("rect-perp", delta=1.0)
-    d = coupling_matrix(sys.layout()).d
+    c = coupling_matrix(sys.layout())
     for tau in np.linspace(0.0, 20.0, 101):
         numeric = evolve(sys.spectrum(), 1, tau)
-        analytic = evolve(analytic_rectangle_spectrum(d[0, 2], d[0, 3]), 1, tau)
+        analytic = evolve(analytic_spectrum(c), 1, tau)
         assert np.allclose(numeric.probabilities, analytic.probabilities, atol=1e-10)
 
 

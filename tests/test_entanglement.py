@@ -36,7 +36,23 @@ def test_bipartition_validation():
         Bipartition((0,), (1,))
     with pytest.raises(ValueError):
         Bipartition((1, 1), (2,))
+    # 1.7 used to be truncated to node 1
+    with pytest.raises(ValueError, match="node index 1.7 must be an integer"):
+        Bipartition((1.7,), (2,))
     assert Bipartition((1, 5), (4, 8)).label() == "15_48"
+
+
+def test_bipartition_accepts_numpy_integers():
+    part = Bipartition(np.array([1, 5]), (np.int64(4), 8))
+    assert part.a == (1, 5) and part.b == (4, 8)
+    assert all(type(k) is int for k in part.a + part.b)
+
+
+@pytest.mark.parametrize("i", [True, 1.5])
+def test_concurrence_rejects_non_integer_node(i):
+    # True used to be read as node 1, 1.5 to fail with an IndexError
+    with pytest.raises(ValueError, match=f"node index {i} must be an integer"):
+        concurrence(_state("chain2"), i, 2)
 
 
 def test_sigma_limits():

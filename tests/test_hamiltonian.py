@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from spintransfer.geometry import (
     FIELD_ALONG_B,
     FIELD_PERPENDICULAR,
+    CouplingMatrix,
     coupling_matrix,
+    layout_chain2,
     layout_parallelepiped,
     layout_rectangle,
 )
 from spintransfer.hamiltonian import (
-    analytic_parallelepiped_spectrum,
-    analytic_rectangle_spectrum,
+    analytic_spectrum,
     build_D,
     diagonalize,
     sign_basis,
@@ -47,35 +48,63 @@ def test_diagonalize_orders_and_reconstructs():
     assert np.allclose(u @ np.diag(lam) @ u.T, D.m, atol=1e-12)
 
 
-@settings(max_examples=150, deadline=None)
-@given(b=sides, mode=modes)
-def test_analytic_rectangle_matches_numeric(b, mode):
-    c = coupling_matrix(layout_rectangle(b, mode))
+def _assert_analytic_matches_numeric(c):
     D = build_D(c)
-    analytic = analytic_rectangle_spectrum(c.d[0, 2], c.d[0, 3])
+    analytic = analytic_spectrum(c)
     numeric = diagonalize(D)
     assert np.allclose(analytic.eigenvalues, numeric.eigenvalues, atol=1e-10)
     u, lam = analytic.eigenvectors, analytic.eigenvalues
     assert np.allclose(u @ np.diag(lam) @ u.T, D.m, atol=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(b=sides, mode=modes)
+def test_analytic_rectangle_matches_numeric(b, mode):
+    _assert_analytic_matches_numeric(coupling_matrix(layout_rectangle(b, mode)))
 
 
 @settings(max_examples=75, deadline=None)
 @given(b1=sides, b2=sides)
 def test_analytic_parallelepiped_matches_numeric(b1, b2):
-    c = coupling_matrix(layout_parallelepiped(b1, b2))
-    D = build_D(c)
-    analytic = analytic_parallelepiped_spectrum(list(c.d[0, 1:]))
-    numeric = diagonalize(D)
-    assert np.allclose(analytic.eigenvalues, numeric.eigenvalues, atol=1e-10)
-    u, lam = analytic.eigenvectors, analytic.eigenvalues
-    assert np.allclose(u @ np.diag(lam) @ u.T, D.m, atol=1e-10)
+    _assert_analytic_matches_numeric(coupling_matrix(layout_parallelepiped(b1, b2)))
+
+
+def test_analytic_chain2_matches_numeric():
+    _assert_analytic_matches_numeric(coupling_matrix(layout_chain2()))
+
+
+def test_analytic_spectrum_rejects_other_node_counts():
+    d = np.ones((3, 3)) - np.eye(3)
+    with pytest.raises(ValueError, match="2, 4 or 8 nodes, got 3"):
+        analytic_spectrum(CouplingMatrix(d))
+
+
+def test_analytic_eigenvalues_frozen():
+    # Recorded from the per-geometry closed forms this function replaced.
+    c = coupling_matrix(layout_rectangle(1.3, FIELD_ALONG_B))
+    assert np.allclose(
+        analytic_spectrum(c).eigenvalues,
+        [-1.9315346188455864, -0.5119456863046249, -0.33261022886265856, 1.889129923712447],
+        rtol=0.0,
+        atol=1e-12,
+    )
+    c = coupling_matrix(layout_parallelepiped(0.7, 1.2))
+    assert np.allclose(
+        analytic_spectrum(c).eigenvalues,
+        [
+            1.1449112195885434, 1.8301424069095251, 2.320889555478338, 3.4363780446163092,
+            5.141647248102079, 7.6477983025378675, 7.786680783598685, 11.479810052703943,
+        ],
+        rtol=0.0,
+        atol=1e-12,
+    )
 
 
 def test_analytic_rectangle_survives_degeneracy():
     # b=1 collapses two eigenvalues; reconstruction must still hold
     c = coupling_matrix(layout_rectangle(1.0, FIELD_PERPENDICULAR))
     D = build_D(c)
-    spec = analytic_rectangle_spectrum(c.d[0, 2], c.d[0, 3])
+    spec = analytic_spectrum(c)
     u, lam = spec.eigenvectors, spec.eigenvalues
     assert np.allclose(u @ np.diag(lam) @ u.T, D.m, atol=1e-12)
 
@@ -106,5 +135,5 @@ def test_sign_basis_rejects_out_of_range():
 def test_parallelepiped_eigenvectors_are_sign_patterns():
     # all eight eigenvectors of the box have entries +-1/sqrt(8)
     c = coupling_matrix(layout_parallelepiped(0.7, 1.2))
-    spec = analytic_parallelepiped_spectrum(list(c.d[0, 1:]))
+    spec = analytic_spectrum(c)
     assert np.allclose(np.abs(spec.eigenvectors), 1.0 / (2.0 * np.sqrt(2.0)), atol=1e-14)

@@ -288,6 +288,12 @@ def test_sweep2d_resource_cap():
         sweep2d((1.0, 200.0), (1.0, 200.0), 0.01, 5.0, 0.1)
 
 
+def test_sweep1d_grid_cap():
+    # 5 / 1e-300 steps: rejected before any delta is evaluated
+    with pytest.raises(ValueError, match="1e-300.*cap is 1000000"):
+        sweep1d(FIELD_ALONG_B, (2.0, 7.0), 1e-300, 3.5, 0.1)
+
+
 @pytest.mark.parametrize(
     "args, kwargs",
     [

@@ -44,7 +44,6 @@ from .geometry import (
     layout_rectangle,
 )
 from .hamiltonian import (
-    SingleExcitationMatrix,
     Spectrum,
     analytic_spectrum,
     build_D,
@@ -74,7 +73,6 @@ __all__ = [
     "FIELD_PERPENDICULAR",
     "NodeLayout",
     "PeakRecord",
-    "SingleExcitationMatrix",
     "Spectrum",
     "SuiteResult",
     "SweepResult",

@@ -16,12 +16,16 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .dynamics import tau_grid
 from .entanglement import Bipartition, negativity_grid
-from .search import FIELD_MODES, SYSTEM_KINDS, System, hpst_times, sweep1d, sweep2d
+from .search import KINDS, System, hpst_times, sweep1d, sweep2d
 from .verify import run_all
 
 __all__ = ["main"]
+
+_PARAMS = ("delta", "delta1", "delta2")
 
 
 def _fmt(x: float) -> str:
@@ -78,42 +82,30 @@ def cmd_entangle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.system == "chain2":
-        raise ValueError("chain2 has no coupling parameter to sweep")
-    if args.system == "box":
-        if args.fn:
-            raise ValueError("the FN column is available for 1D sweeps only")
-        for flag in ("delta1_min", "delta1_max", "delta2_min", "delta2_max"):
-            if getattr(args, flag) is None:
-                raise ValueError(f"box sweep requires --{flag.replace('_', '-')}")
-        result = sweep2d(
-            (args.delta1_min, args.delta1_max),
-            (args.delta2_min, args.delta2_max),
-            (args.delta1_step, args.delta2_step),
-            args.T,
-            args.dtau,
-            P0=args.p0,
-        )
-        rows = ((d1, d2, fp) for (d1, d2), fp in zip(result.grid, result.fp))
-        _write_csv(args.out, ["delta1", "delta2", "FP"], rows)
-        print(f"HPST points: {int(result.hpst.sum())} of {result.hpst.size}")
-        return 0
-    if args.delta_min is None or args.delta_max is None:
-        raise ValueError("1D sweep requires --delta-min and --delta-max")
-    result = sweep1d(
-        FIELD_MODES[args.system],
-        (args.delta_min, args.delta_max),
-        args.delta_step,
-        args.T,
-        args.dtau,
-        P0=args.p0,
-        with_fn=args.fn,
-    )
-    if args.fn:
-        _write_csv(args.out, ["delta", "FP", "FN"], zip(result.grid, result.fp, result.fn))
+    params = KINDS[args.system][1]
+    if not params:
+        raise ValueError(f"{args.system} has no coupling parameter to sweep")
+    if args.fn and len(params) > 1:
+        raise ValueError("the FN column is available for 1D sweeps only")
+    ranges, steps = [], []
+    for name in params:
+        for end in ("min", "max"):
+            if getattr(args, f"{name}_{end}") is None:
+                raise ValueError(f"{args.system} sweep requires --{name}-{end}")
+        ranges.append((getattr(args, f"{name}_min"), getattr(args, f"{name}_max")))
+        steps.append(getattr(args, f"{name}_step"))
+    if len(params) > 1:
+        result = sweep2d(*ranges, steps, args.T, args.dtau, P0=args.p0)
     else:
-        _write_csv(args.out, ["delta", "FP"], zip(result.grid, result.fp))
-    if result.intervals:
+        result = sweep1d(
+            args.system, ranges[0], steps[0], args.T, args.dtau, P0=args.p0, with_fn=args.fn
+        )
+    columns = [result.grid, result.fp] + ([result.fn] if args.fn else [])
+    header = [*params, "FP"] + (["FN"] if args.fn else [])
+    _write_csv(args.out, header, np.column_stack(columns))
+    if len(params) > 1:
+        print(f"HPST points: {int(result.hpst.sum())} of {result.hpst.size}")
+    elif result.intervals:
         for lo, hi in result.intervals:
             print(f"HPST interval: [{lo:.6g}, {hi:.6g}]")
     else:
@@ -140,12 +132,13 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _add_system_flags(sub, with_out: bool) -> None:
-    sub.add_argument("--system", required=True, choices=SYSTEM_KINDS)
-    sub.add_argument("--delta", type=float, default=None)
-    sub.add_argument("--delta1", type=float, default=None)
-    sub.add_argument("--delta2", type=float, default=None)
-    sub.add_argument("--k0", type=int, default=1)
+def _add_system_flags(sub, with_out: bool, with_params: bool = True) -> None:
+    """--system, its coupling parameters and --k0 (with_params), the time grid, --out."""
+    sub.add_argument("--system", required=True, choices=KINDS)
+    if with_params:
+        for name in _PARAMS:
+            sub.add_argument(f"--{name}", type=float, default=None)
+        sub.add_argument("--k0", type=int, default=1)
     sub.add_argument("--T", type=float, required=True, dest="T")
     sub.add_argument("--dtau", type=float, default=0.01)
     if with_out:
@@ -175,17 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_entangle)
 
     sub = subs.add_parser("sweep", help="delta sweep of the min-max objectives")
-    _add_system_flags(sub, with_out=True)
+    _add_system_flags(sub, with_out=True, with_params=False)
     sub.add_argument("--p0", type=float, default=0.9)
-    sub.add_argument("--delta-min", type=float, default=None)
-    sub.add_argument("--delta-max", type=float, default=None)
-    sub.add_argument("--delta-step", type=float, default=0.01)
-    sub.add_argument("--delta1-min", type=float, default=None)
-    sub.add_argument("--delta1-max", type=float, default=None)
-    sub.add_argument("--delta1-step", type=float, default=0.01)
-    sub.add_argument("--delta2-min", type=float, default=None)
-    sub.add_argument("--delta2-max", type=float, default=None)
-    sub.add_argument("--delta2-step", type=float, default=0.01)
+    for name in _PARAMS:
+        sub.add_argument(f"--{name}-min", type=float, default=None)
+        sub.add_argument(f"--{name}-max", type=float, default=None)
+        sub.add_argument(f"--{name}-step", type=float, default=0.01)
     sub.add_argument("--fn", action="store_true", help="add the FN column (1D only)")
     sub.set_defaults(func=cmd_sweep)
 

@@ -32,9 +32,9 @@ __all__ = [
 ]
 
 # Field orientations for the rectangle: normal to its plane, or parallel
-# to the side of length b.
-FIELD_PERPENDICULAR = "perpendicular"
-FIELD_ALONG_B = "along"
+# to the side of length b.  Each is also the rectangle's System kind.
+FIELD_PERPENDICULAR = "rect-perp"
+FIELD_ALONG_B = "rect-along"
 
 
 @dataclass(frozen=True)

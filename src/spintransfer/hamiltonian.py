@@ -4,8 +4,8 @@ With one flipped spin the only dynamically active block of the
 Hamiltonian is H_1 = (D - Gamma I) / 2, where D carries the couplings
 d_ij off the diagonal and A_nn = 2 sum_{i != n} d_in on it, and
 Gamma = sum_{i<j} d_ij.  The Gamma shift is a multiple of the identity,
-contributes a global phase only, and is dropped from the dynamics; it is
-kept on the matrix object for reference.
+contributes a global phase only, and is dropped: build_D returns D as a
+plain array.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .geometry import CouplingMatrix
 
 __all__ = [
-    "SingleExcitationMatrix",
     "Spectrum",
     "build_D",
     "diagonalize",
@@ -26,18 +25,6 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class SingleExcitationMatrix:
-    """Symmetric matrix D of the single-excitation block, plus Gamma."""
-
-    m: np.ndarray
-    gamma: float
-
-    @property
-    def n_nodes(self) -> int:
-        return self.m.shape[0]
 
 
 @dataclass(frozen=True)
@@ -55,17 +42,16 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
-def build_D(c: CouplingMatrix) -> SingleExcitationMatrix:
+def build_D(c: CouplingMatrix) -> np.ndarray:
     """Assemble D from a coupling matrix: d_ij off-diagonal, 2 sum d_in on it."""
-    d = c.d
-    m = d.copy()
-    np.fill_diagonal(m, 2.0 * d.sum(axis=0))
-    return SingleExcitationMatrix(m=m, gamma=float(d.sum() / 2.0))
+    D = c.d.copy()
+    np.fill_diagonal(D, 2.0 * c.d.sum(axis=0))
+    return D
 
 
-def diagonalize(D: SingleExcitationMatrix) -> Spectrum:
-    """Spectral decomposition of D; deterministic for identical input."""
-    lam, u = np.linalg.eigh(D.m)
+def diagonalize(D: np.ndarray) -> Spectrum:
+    """Spectral decomposition of the symmetric array D; deterministic for identical input."""
+    lam, u = np.linalg.eigh(D)
     return Spectrum(eigenvalues=lam, eigenvectors=u)
 
 
@@ -79,13 +65,19 @@ def analytic_spectrum(c: CouplingMatrix) -> Spectrum:
 
     The couplings must have the symmetry of layout_chain2,
     layout_rectangle or layout_parallelepiped, with nodes numbered as
-    there.  This is not checked: for other couplings with 2, 4 or 8 nodes
-    the result is not an eigensystem of D.
+    there.  ValueError is raised when they lack it, judged by the residual
+    max|D U - U diag(lam)| exceeding 1e-12 max|D|.
     """
     u = _SIGN_VECTORS.get(c.n_nodes)
     if u is None:
         raise ValueError(f"analytic spectrum needs 2, 4 or 8 nodes, got {c.n_nodes}")
     lam = c.d[0] @ (2.0 + u / u[0])
+    D = build_D(c)
+    residual, scale = np.abs(D @ u - u * lam).max(), np.abs(D).max()
+    if residual > 1e-12 * scale:
+        raise ValueError(
+            f"couplings lack the sign-basis symmetry: residual {residual:.3g}, max|D| {scale:.3g}"
+        )
     order = np.argsort(lam, kind="stable")
     return Spectrum(eigenvalues=lam[order], eigenvectors=u[:, order])
 

@@ -12,6 +12,7 @@ at least P0).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .hamiltonian import Spectrum, build_D, diagonalize
 
 __all__ = [
     "DISPLAY_MARGIN",
+    "KINDS",
     "System",
     "PeakRecord",
     "SweepResult",
@@ -41,12 +43,14 @@ __all__ = [
     "sweep2d",
 ]
 
-_KIND_NODES = {"chain2": 2, "rect-perp": 4, "rect-along": 4, "box": 8}
-
-SYSTEM_KINDS = tuple(_KIND_NODES)
-
-# Field mode of each rectangle kind; sweep1d takes the mode.
-FIELD_MODES = {"rect-perp": FIELD_PERPENDICULAR, "rect-along": FIELD_ALONG_B}
+# Every System kind: its node count and the coupling parameters it
+# requires.  A rectangle's kind is its field mode.
+KINDS = {
+    "chain2": (2, ()),
+    FIELD_PERPENDICULAR: (4, ("delta",)),
+    FIELD_ALONG_B: (4, ("delta",)),
+    "box": (8, ("delta1", "delta2")),
+}
 
 # Interval membership uses fp >= p0 - margin.  Window endpoints are
 # conventionally quoted at two decimals, so a grid point whose best
@@ -60,10 +64,12 @@ class System:
     """A cluster geometry plus the initially excited node.
 
     kind selects the layout: 'chain2' (two nodes, no parameters),
-    'rect-perp' / 'rect-along' (rectangle with side b = delta**(-1/3),
-    field perpendicular to the plane or along side b) and 'box'
-    (rectangular parallelepiped, delta1 for the in-plane side and
-    delta2 for the height).
+    'rect-perp' / 'rect-along' (FIELD_PERPENDICULAR / FIELD_ALONG_B:
+    rectangle with side b = delta**(-1/3), field perpendicular to the
+    plane or along side b) and 'box' (rectangular parallelepiped, delta1
+    for the in-plane side and delta2 for the height).  The coupling
+    parameters a kind requires (KINDS) must be finite positive real
+    numbers, not bools; the others must be None.
     """
 
     kind: str
@@ -73,9 +79,9 @@ class System:
     k0: int = 1
 
     def __post_init__(self):
-        if self.kind not in SYSTEM_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
-        need = {"chain2": (), "box": ("delta1", "delta2")}.get(self.kind, ("delta",))
+        need = KINDS[self.kind][1]
         for name in ("delta", "delta1", "delta2"):
             value = getattr(self, name)
             if value is None:
@@ -83,20 +89,22 @@ class System:
                     raise ValueError(f"{self.kind} requires {name}")
             elif name not in need:
                 raise ValueError(f"{self.kind} takes no {name}")
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             elif not 0 < value < np.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         _check_node(self.k0, self.n_nodes)
 
     @property
     def n_nodes(self) -> int:
-        return _KIND_NODES[self.kind]
+        return KINDS[self.kind][0]
 
     def layout(self):
         if self.kind == "chain2":
             return layout_chain2()
         if self.kind == "box":
             return layout_parallelepiped(delta_to_b(self.delta1), delta_to_b(self.delta2))
-        return layout_rectangle(delta_to_b(self.delta), FIELD_MODES[self.kind])
+        return layout_rectangle(delta_to_b(self.delta), self.kind)
 
     def spectrum(self) -> Spectrum:
         return diagonalize(build_D(coupling_matrix(self.layout())))
@@ -251,12 +259,15 @@ def sweep1d(
     with_fn: bool = False,
     margin: float = DISPLAY_MARGIN,
 ) -> SweepResult:
-    """Scan the rectangle objectives over delta for the given field mode."""
-    kind = next((k for k, m in FIELD_MODES.items() if m == mode), None)
-    if kind is None:
+    """Scan the rectangle objectives over delta.
+
+    mode is the rectangle kind, FIELD_PERPENDICULAR ('rect-perp') or
+    FIELD_ALONG_B ('rect-along').
+    """
+    if mode not in (FIELD_PERPENDICULAR, FIELD_ALONG_B):
         raise ValueError(f"unknown field mode {mode!r}")
     grid = _uniform_grid(delta_range, delta_step, strict=True)
-    systems = (System(kind, delta=float(d)) for d in grid)
+    systems = (System(mode, delta=float(d)) for d in grid)
     return _sweep(grid, systems, T, dtau, P0, margin, with_fn)
 
 

@@ -30,7 +30,7 @@ from .geometry import (
     layout_rectangle,
 )
 from .hamiltonian import analytic_spectrum, build_D, diagonalize
-from .search import System
+from .search import KINDS, System
 
 __all__ = [
     "SuiteResult",
@@ -57,15 +57,10 @@ def _result(name: str, dev: float, tol: float) -> SuiteResult:
 
 
 def _random_system(rng) -> System:
-    kind = rng.choice(["chain2", "rect-perp", "rect-along", "box"])
-    if kind == "chain2":
-        sys = System("chain2")
-    elif kind == "box":
-        sys = System("box", delta1=float(rng.uniform(0.1, 15.0)), delta2=float(rng.uniform(0.1, 15.0)))
-    else:
-        sys = System(kind, delta=float(rng.uniform(0.1, 15.0)))
-    k0 = int(rng.integers(1, sys.n_nodes + 1))
-    return System(sys.kind, delta=sys.delta, delta1=sys.delta1, delta2=sys.delta2, k0=k0)
+    kind = str(rng.choice(list(KINDS)))
+    n_nodes, params = KINDS[kind]
+    deltas = {name: float(rng.uniform(0.1, 15.0)) for name in params}
+    return System(kind, **deltas, k0=int(rng.integers(1, n_nodes + 1)))
 
 
 def suite_closed_forms(draws: int = 300) -> SuiteResult:
@@ -141,7 +136,7 @@ def suite_spectra(draws: int = 200) -> SuiteResult:
         dev = max(dev, float(np.abs(analytic.eigenvalues - numeric.eigenvalues).max()))
         for spec in (analytic, numeric):
             u, lam = spec.eigenvectors, spec.eigenvalues
-            dev = max(dev, float(np.abs(u @ np.diag(lam) @ u.T - D.m).max()))
+            dev = max(dev, float(np.abs(u @ np.diag(lam) @ u.T - D).max()))
 
     for _ in range(draws):
         mode = FIELD_PERPENDICULAR if rng.random() < 0.5 else FIELD_ALONG_B

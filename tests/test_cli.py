@@ -213,6 +213,29 @@ def test_sweep_rejects_fn_for_box(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", [["--k0", "3"], ["--delta", "5"]])
+def test_sweep_rejects_system_flags(tmp_path, flag):
+    # sweep reads neither a fixed coupling parameter nor k0
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--system", "rect-along", "--delta-min", "2", "--delta-max", "3",
+              "--T", "1", "--out", str(tmp_path / "x.csv"), *flag])
+    assert err.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_names_missing_range_flag(tmp_path, capsys):
+    out = ["--T", "1", "--out", str(tmp_path / "x.csv")]
+    cases = [
+        (["--system", "rect-perp", "--delta-max", "3"], "rect-perp sweep requires --delta-min"),
+        (["--system", "rect-along", "--delta-min", "2"], "rect-along sweep requires --delta-max"),
+        (["--system", "box", "--delta1-max", "3", "--delta2-min", "1", "--delta2-max", "2"],
+         "box sweep requires --delta1-min"),
+    ]
+    for argv, message in cases:
+        assert main(["sweep", *argv, *out]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_peaks_rect_along(capsys):
     code = main(
         ["peaks", "--system", "rect-along", "--delta", "4.3", "--T", "3.5"]

@@ -9,6 +9,7 @@ from spintransfer.geometry import (
     FIELD_ALONG_B,
     FIELD_PERPENDICULAR,
     CouplingMatrix,
+    NodeLayout,
     coupling_matrix,
     layout_chain2,
     layout_parallelepiped,
@@ -29,14 +30,13 @@ def _rect_D(b, mode):
     return build_D(coupling_matrix(layout_rectangle(b, mode)))
 
 
-def test_build_D_diagonal_and_gamma():
+def test_build_D_diagonal_and_off_diagonal():
     c = coupling_matrix(layout_rectangle(1.5, FIELD_PERPENDICULAR))
     D = build_D(c)
     for n in range(4):
-        assert D.m[n, n] == pytest.approx(2.0 * (c.d[n].sum()), rel=1e-14)
-    assert D.gamma == pytest.approx(c.d.sum() / 2.0, rel=1e-14)
+        assert D[n, n] == pytest.approx(2.0 * (c.d[n].sum()), rel=1e-14)
     off = ~np.eye(4, dtype=bool)
-    assert np.array_equal(D.m[off], c.d[off])
+    assert np.array_equal(D[off], c.d[off])
 
 
 def test_diagonalize_orders_and_reconstructs():
@@ -45,7 +45,7 @@ def test_diagonalize_orders_and_reconstructs():
     lam, u = spec.eigenvalues, spec.eigenvectors
     assert np.all(np.diff(lam) >= 0)
     assert np.allclose(u.T @ u, np.eye(4), atol=1e-13)
-    assert np.allclose(u @ np.diag(lam) @ u.T, D.m, atol=1e-12)
+    assert np.allclose(u @ np.diag(lam) @ u.T, D, atol=1e-12)
 
 
 def _assert_analytic_matches_numeric(c):
@@ -54,7 +54,7 @@ def _assert_analytic_matches_numeric(c):
     numeric = diagonalize(D)
     assert np.allclose(analytic.eigenvalues, numeric.eigenvalues, atol=1e-10)
     u, lam = analytic.eigenvectors, analytic.eigenvalues
-    assert np.allclose(u @ np.diag(lam) @ u.T, D.m, atol=1e-10)
+    assert np.allclose(u @ np.diag(lam) @ u.T, D, atol=1e-10)
 
 
 @settings(max_examples=150, deadline=None)
@@ -77,6 +77,13 @@ def test_analytic_spectrum_rejects_other_node_counts():
     d = np.ones((3, 3)) - np.eye(3)
     with pytest.raises(ValueError, match="2, 4 or 8 nodes, got 3"):
         analytic_spectrum(CouplingMatrix(d))
+
+
+def test_analytic_spectrum_rejects_couplings_without_sign_symmetry():
+    # four collinear unit-spaced nodes: not an eigensystem of D in the sign basis
+    line = NodeLayout(np.array([[x, 0.0, 0.0] for x in range(4)]), np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="sign-basis symmetry"):
+        analytic_spectrum(coupling_matrix(line))
 
 
 def test_analytic_eigenvalues_frozen():
@@ -106,7 +113,7 @@ def test_analytic_rectangle_survives_degeneracy():
     D = build_D(c)
     spec = analytic_spectrum(c)
     u, lam = spec.eigenvectors, spec.eigenvalues
-    assert np.allclose(u @ np.diag(lam) @ u.T, D.m, atol=1e-12)
+    assert np.allclose(u @ np.diag(lam) @ u.T, D, atol=1e-12)
 
 
 def test_sign_basis_small_cases():

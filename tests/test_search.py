@@ -68,11 +68,21 @@ def test_system_validation():
         dict(kind="chain2", k0=True),
         dict(kind="chain2", k0=1.0),
         dict(kind="chain2", k0="1"),
+        dict(kind="rect-perp", delta=True),
+        dict(kind="rect-along", delta="1"),
+        dict(kind="rect-perp", delta=1.0 + 0.0j),
+        dict(kind="box", delta1="2", delta2=1.0),
+        dict(kind="box", delta1=1.0, delta2=True),
     ],
 )
 def test_system_rejects_non_finite_and_mistyped(params):
     with pytest.raises(ValueError, match="must be"):
         System(**params)
+
+
+def test_rectangle_field_mode_is_its_kind():
+    assert System(FIELD_ALONG_B, delta=4.3) == System("rect-along", delta=4.3)
+    assert System(FIELD_PERPENDICULAR, delta=4.3) == System("rect-perp", delta=4.3)
 
 
 def test_system_accepts_numpy_integer_k0():
@@ -244,6 +254,13 @@ def test_fn_value_is_min_over_pairs_of_best_negativity():
         (FIELD_PERPENDICULAR, (2.0, 19.0), 1701),
         (FIELD_ALONG_B, (2.0, 7.0), 501),
         (FIELD_ALONG_B, (1.5, 31.0), 2951),
+    ],
+    # ids fixed from when the field modes were the strings "perpendicular" and "along"
+    ids=[
+        "perpendicular-delta_range0-701",
+        "perpendicular-delta_range1-1701",
+        "along-delta_range2-501",
+        "along-delta_range3-2951",
     ],
 )
 def test_sweep_grid_sizes_unchanged(mode, delta_range, size):

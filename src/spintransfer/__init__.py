@@ -20,6 +20,7 @@ from .dynamics import (
     evolve_grid,
     fidelity,
     probability_grid,
+    sign_probability_grid,
     tau_grid,
 )
 from .entanglement import (
@@ -55,6 +56,7 @@ from .search import (
     PeakRecord,
     SweepResult,
     System,
+    coupling_rows,
     fn_value,
     fp_value,
     hpst_times,
@@ -85,6 +87,7 @@ __all__ = [
     "concurrence",
     "concurrence_oracle",
     "coupling_matrix",
+    "coupling_rows",
     "cube_P",
     "delta_to_b",
     "density_element",
@@ -107,6 +110,7 @@ __all__ = [
     "run_all",
     "sigma",
     "sign_basis",
+    "sign_probability_grid",
     "sweep1d",
     "sweep2d",
     "tau_grid",

@@ -5,16 +5,24 @@ tau / 2); the identity shift of the single-excitation block is dropped as
 a global phase, so reported phases (and the fidelity built from them)
 are relative to that convention.  Node indices are 1-based throughout
 the public surface.
+
+sign_probability_grid is the real-valued route for the pair, the
+rectangle and the box, whose eigenvectors are the sign basis whatever
+the couplings: there the probabilities depend only on the first
+coupling row.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import numpy as np
 
-from .hamiltonian import Spectrum
+from .hamiltonian import Spectrum, sign_basis
 
 __all__ = [
     "TransferState",
@@ -22,6 +30,7 @@ __all__ = [
     "evolve_grid",
     "amplitude_grid",
     "probability_grid",
+    "sign_probability_grid",
     "tau_grid",
     "density_element",
     "fidelity",
@@ -93,6 +102,85 @@ def amplitude_grid(spectrum: Spectrum, k0: int, taus: np.ndarray) -> np.ndarray:
 def probability_grid(spectrum: Spectrum, k0: int, taus: np.ndarray) -> np.ndarray:
     """Transfer probabilities P_{k0 m}(tau_i) as an (N, len(taus)) array."""
     return np.abs(amplitude_grid(spectrum, k0, taus)) ** 2
+
+
+def _sign_terms(s: int) -> tuple:
+    """Per p = 1..N-1 (N = 2**s), the sign psi_p(x) of every node x and the
+    terms of E_p as (sign, sine nodes, cosine nodes), nodes 0-based.
+
+    The terms run over the subsets A of K_p = {g : psi_p(g) = -1} whose XOR
+    is 0; such an A has even size and the sign (-1)**(|A| / 2).
+    """
+    psi = np.rint(sign_basis(s) * np.sqrt(2.0**s)).astype(int)
+    table = []
+    for p in range(1, 2**s):
+        flipped = [g for g in range(2**s) if psi[p, g] < 0]
+        terms = [
+            ((-1) ** (size // 2), a, tuple(g for g in flipped if g not in a))
+            for size in range(0, len(flipped) + 1, 2)
+            for a in combinations(flipped, size)
+            if reduce(xor, a, 0) == 0
+        ]
+        table.append((psi[p], terms))
+    return tuple(table)
+
+
+# sign_probability_grid's term tables by node count.
+_SIGN_TERMS = {2**s: _sign_terms(s) for s in (1, 2, 3)}
+
+
+def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.ndarray:
+    """P_{k0 m}(tau_i) of G sign-basis clusters as a (G, N, len(taus)) array.
+
+    rows[c] is the first coupling row (d_11 = 0, d_12, ..., d_1N) of
+    cluster c, for N = 2, 4 or 8 nodes numbered as in layout_chain2,
+    layout_rectangle or layout_parallelepiped.  On 0-based nodes, with
+    psi_p(x) = (-1)**popcount(p & x),
+
+        P_{k0 m}(tau) = (1/N) sum_p psi_p(m XOR k0) E_p(tau),
+
+    E_0 = 1 and E_p the sum over the subsets A of K_p = {g : psi_p(g) = -1}
+    with XOR 0 of (-1)**(|A|/2) prod_{g in A} sin(d_1g tau)
+    prod_{g in K_p - A} cos(d_1g tau).  Only real cos and sin are taken,
+    and every sample is computed from its row and its tau alone, in the
+    same order of operations, so it comes out bit for bit the same
+    whichever other rows and times share the call.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] not in _SIGN_TERMS:
+        raise ValueError(f"rows must have shape (G, N), G >= 1, N = 2, 4 or 8, got {rows.shape}")
+    n_points, n = rows.shape
+    _check_node(k0, n)
+    taus = np.asarray(taus, dtype=float)
+    table = _SIGN_TERMS[n]
+    # d_1g tau for the nodes g >= 1, as (G, K) arrays; a coupling that
+    # every row shares (d_12 = 1 along a sweep) is evaluated once, as (1, K).
+    angles = [
+        rows[:1, g, None] * taus if np.all(rows[:, g] == rows[0, g]) else rows[:, g, None] * taus
+        for g in range(1, n)
+    ]
+    sin = [np.sin(a) for a in angles] if n == 8 else None  # only the box's terms hold sines
+    cos = [np.cos(a, out=a) for a in angles]
+    # e[p] = psi_p(k0) E_p / N, so the Walsh-Hadamard transform over p
+    # gives P_{k0 m} at e[m] directly; scaling by +-1/N is exact.
+    e = np.empty((n, n_points, taus.size))
+    e[0] = 1.0 / n
+    for p, (psi, terms) in enumerate(table, start=1):
+        total = None
+        for sign, sines, cosines in terms:
+            term = reduce(np.multiply, [sin[g - 1] for g in sines] + [cos[g - 1] for g in cosines])
+            total = term if total is None else total + sign * term
+        np.multiply(total, psi[k0 - 1] / n, out=e[p])
+    # Walsh-Hadamard transform, one butterfly at a time on whole (G, K)
+    # slabs: they never overlap, so numpy takes no defensive copies.
+    for bit in range(n.bit_length() - 1):
+        for low in range(n):
+            if not low >> bit & 1:
+                high = low | 1 << bit
+                plus = e[low] + e[high]
+                np.subtract(e[low], e[high], out=e[high])
+                e[low] = plus
+    return e.transpose(1, 0, 2)
 
 
 def evolve(spectrum: Spectrum, k0: int, tau: float) -> TransferState:

@@ -8,16 +8,22 @@ sweep2d scan them over the coupling-strength parameter delta = b**-3,
 and hpst_times locates the per-node arrival peaks and the transfer
 window (the time by which every node has been reached with probability
 at least P0).
+
+All of them evaluate P(tau) through dynamics.sign_probability_grid from
+the closed-form first coupling rows of coupling_rows, so no layout,
+coupling matrix or eigensolver is built per point; System.spectrum()
+keeps the numeric route.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .dynamics import _MAX_GRID_POINTS, _check_node, _whole_steps, probability_grid, tau_grid
+from .dynamics import _MAX_GRID_POINTS, _check_node, _whole_steps, sign_probability_grid, tau_grid
 from .entanglement import negativity_grid
 from .geometry import (
     FIELD_ALONG_B,
@@ -36,6 +42,7 @@ __all__ = [
     "System",
     "PeakRecord",
     "SweepResult",
+    "coupling_rows",
     "fp_value",
     "fn_value",
     "hpst_times",
@@ -51,6 +58,58 @@ KINDS = {
     FIELD_ALONG_B: (4, ("delta",)),
     "box": (8, ("delta1", "delta2")),
 }
+
+
+def _b2(delta):
+    """b**2 of the side b = delta**(-1/3)."""
+    return delta ** (-2.0 / 3.0)
+
+
+def _dipolar(across, along):
+    """(1 - 3 cos^2 theta) / xi^3 from the squared offsets across and along the field."""
+    return (across - 2.0 * along) / (across + along) ** 2.5
+
+
+def _box_row(delta1, delta2):
+    """Base nodes 2-4 lie across the field; top nodes 5-8 sit one side b2 along it."""
+    sq1, sq2 = _b2(delta1), _b2(delta2)
+    top = (-2.0 * delta2, _dipolar(1.0, sq2), _dipolar(1.0 + sq1, sq2), _dipolar(sq1, sq2))
+    return (1.0, (1.0 + sq1) ** -1.5, delta1, *top)
+
+
+# d_12 .. d_1N of each kind from its parameter columns, in the node
+# numbering of its layout (d_12 = 1 throughout; delta = b**-3 itself is
+# the coupling across a side b perpendicular to the field).
+_ROW_FORMS = {
+    "chain2": lambda: (1.0,),
+    FIELD_PERPENDICULAR: lambda delta: (1.0, (1.0 + _b2(delta)) ** -1.5, delta),
+    FIELD_ALONG_B: lambda delta: (1.0, _dipolar(1.0, _b2(delta)), -2.0 * delta),
+    "box": _box_row,
+}
+
+
+def coupling_rows(kind: str, params) -> np.ndarray:
+    """First coupling rows (d_11 = 0, d_12, ..., d_1N) of G clusters, shape (G, N).
+
+    params has shape (G, P): one row per cluster holding the kind's
+    parameters (KINDS) in order, so (G, 0) for 'chain2'.  The closed forms
+    equal coupling_matrix(System(kind, ...).layout()).d[0] up to roundoff
+    and are elementwise, so a row does not depend on the others.
+    """
+    params = np.asarray(params, dtype=float)
+    rows = np.zeros((params.shape[0], KINDS[kind][0]))
+    for g, column in enumerate(_ROW_FORMS[kind](*params.T), start=1):
+        rows[:, g] = column
+    return rows
+
+
+# Points x N x tau samples of the probability block a sweep evaluates at
+# once; a point whose own grid is larger takes a block by itself.
+_BLOCK_ELEMENTS = 2**16
+
+# Cap on a sweep's total work, points x tau samples x N: at the measured
+# 9e7 samples/s, about two minutes.
+_MAX_SWEEP_WORK = 10**10
 
 # Interval membership uses fp >= p0 - margin.  Window endpoints are
 # conventionally quoted at two decimals, so a grid point whose best
@@ -107,11 +166,14 @@ class System:
         return layout_rectangle(delta_to_b(self.delta), self.kind)
 
     def spectrum(self) -> Spectrum:
+        """Numeric spectrum of D (eigh) from the layout's coupling matrix."""
         return diagonalize(build_D(coupling_matrix(self.layout())))
 
     def probability_grid(self, taus: np.ndarray) -> np.ndarray:
-        """P_{k0 m}(tau_i) as an (N, len(taus)) array; see dynamics.probability_grid."""
-        return probability_grid(self.spectrum(), self.k0, taus)
+        """P_{k0 m}(tau_i) as an (N, len(taus)) array, from the closed-form
+        coupling row through dynamics.sign_probability_grid."""
+        params = [[getattr(self, name) for name in KINDS[self.kind][1]]]
+        return sign_probability_grid(coupling_rows(self.kind, params), self.k0, taus)[0]
 
 
 @dataclass(frozen=True)
@@ -156,16 +218,23 @@ def _uniform_grid(bounds, step: float, strict: bool) -> np.ndarray:
         raise ValueError("step must be positive")
     if hi < lo or (strict and hi <= lo):
         raise ValueError(f"degenerate range [{lo}, {hi}]")
+    if lo <= 0:
+        raise ValueError(f"coupling parameters must be positive, got a range starting at {lo!r}")
     return np.minimum(lo + step * np.arange(_whole_steps(hi - lo, step) + 1), hi)
 
 
-def _fp(probs: np.ndarray) -> float:
-    return float(probs.max(axis=1).min())
+# Probability grids of (..., N, K): each objective reduces the last two axes.
+def _fp(probs: np.ndarray) -> np.ndarray:
+    return probs.max(axis=-1).min(axis=-1)
 
 
-def _fn(probs: np.ndarray) -> float:
-    i, j = np.triu_indices(probs.shape[0], 1)
-    return float(negativity_grid(probs[i], probs[j]).max(axis=1).min())
+def _fn(probs: np.ndarray) -> np.ndarray:
+    # one node pair at a time, so no (..., pairs, K) array is built
+    best = [
+        negativity_grid(probs[..., i, :], probs[..., j, :]).max(axis=-1)
+        for i, j in combinations(range(probs.shape[-2]), 2)
+    ]
+    return np.min(best, axis=0)
 
 
 def fp_value(system: System, T: float, dtau: float) -> float:
@@ -174,12 +243,12 @@ def fp_value(system: System, T: float, dtau: float) -> float:
     All N nodes count as targets, the initial node included (its
     objective is the return probability).
     """
-    return _fp(system.probability_grid(tau_grid(T, dtau)))
+    return float(_fp(system.probability_grid(tau_grid(T, dtau))))
 
 
 def fn_value(system: System, T: float, dtau: float) -> float:
     """min over unordered node pairs of the best pairwise negativity."""
-    return _fn(system.probability_grid(tau_grid(T, dtau)))
+    return float(_fn(system.probability_grid(tau_grid(T, dtau))))
 
 
 def _refine(taus: np.ndarray, y: np.ndarray, i: int, dtau: float):
@@ -233,20 +302,35 @@ def _intervals_from_flags(grid: np.ndarray, flags: np.ndarray) -> tuple:
     return tuple(runs)
 
 
-def _sweep(grid, systems, T: float, dtau: float, P0: float, margin: float, with_fn=False):
-    """SweepResult of one system per grid point, FP (and FN) from one probability grid each."""
+def _sweep(kind: str, grid, T: float, dtau: float, P0: float, margin: float, with_fn=False):
+    """SweepResult of the kind's clusters (k0 = 1) at the grid points.
+
+    FP (and FN) of each point come from one probability grid, evaluated
+    for blocks of points of at most _BLOCK_ELEMENTS values each.
+    """
     _check_finite(P0=P0, margin=margin)
     taus = tau_grid(T, dtau)
-    fp, fn = [], []
-    for system in systems:
-        probs = system.probability_grid(taus)
-        fp.append(_fp(probs))
+    n_nodes = KINDS[kind][0]
+    work = len(grid) * taus.size * n_nodes
+    if work > _MAX_SWEEP_WORK:
+        raise ValueError(
+            f"sweep of {len(grid)} points x {taus.size} tau samples x {n_nodes} nodes "
+            f"= {work:.3g}, cap is {_MAX_SWEEP_WORK:.3g}"
+        )
+    params = grid.reshape(len(grid), -1)
+    fp = np.empty(len(grid))
+    fn = np.empty(len(grid)) if with_fn else None
+    step = max(1, _BLOCK_ELEMENTS // (n_nodes * taus.size))
+    for start in range(0, len(grid), step):
+        block = slice(start, start + step)
+        probs = sign_probability_grid(coupling_rows(kind, params[block]), 1, taus)
+        fp[block] = _fp(probs)
         if with_fn:
-            fn.append(_fn(probs))
-    fp = np.array(fp)
+            fn[block] = _fn(probs)
+        del probs  # freed before the next block is allocated
     flags = fp >= P0 - margin
     intervals = _intervals_from_flags(grid, flags) if grid.ndim == 1 else ()
-    return SweepResult(grid, fp, np.array(fn) if with_fn else None, intervals, flags, P0, margin)
+    return SweepResult(grid, fp, fn, intervals, flags, P0, margin)
 
 
 def sweep1d(
@@ -267,8 +351,7 @@ def sweep1d(
     if mode not in (FIELD_PERPENDICULAR, FIELD_ALONG_B):
         raise ValueError(f"unknown field mode {mode!r}")
     grid = _uniform_grid(delta_range, delta_step, strict=True)
-    systems = (System(mode, delta=float(d)) for d in grid)
-    return _sweep(grid, systems, T, dtau, P0, margin, with_fn)
+    return _sweep(mode, grid, T, dtau, P0, margin, with_fn)
 
 
 def sweep2d(
@@ -294,5 +377,4 @@ def sweep2d(
     if g1.size * g2.size > _MAX_GRID_POINTS:
         raise ValueError(f"sweep grid has {g1.size * g2.size} points, cap is {_MAX_GRID_POINTS}")
     grid = np.array([(d1, d2) for d1 in g1 for d2 in g2])
-    systems = (System("box", delta1=float(d1), delta2=float(d2)) for d1, d2 in grid)
-    return _sweep(grid, systems, T, dtau, P0, margin)
+    return _sweep("box", grid, T, dtau, P0, margin)

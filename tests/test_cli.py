@@ -10,8 +10,7 @@ import pytest
 
 import spintransfer
 from spintransfer.cli import main
-from spintransfer.dynamics import evolve
-from spintransfer.entanglement import Bipartition, negativity
+from spintransfer.entanglement import Bipartition, negativity_grid
 from spintransfer.search import System
 from spintransfer.verify import SuiteResult
 
@@ -86,13 +85,12 @@ def test_entangle_box_partitions(tmp_path):
     header, data = _load_csv(out)
     assert header == ["tau", "N_15_48", "N_1458_2367"]
     assert np.all(data[:, 1:] >= -1e-12)
-    # each column is the library negativity of the evolved state
-    spec = System("box", delta1=9.0, delta2=26.2).spectrum()
+    # each column is the library negativity of the system's probabilities
+    probs = System("box", delta1=9.0, delta2=26.2).probability_grid(data[:, 0])
     parts = [Bipartition((1, 5), (4, 8)), Bipartition((1, 4, 5, 8), (2, 3, 6, 7))]
-    for row in data:
-        state = evolve(spec, 1, row[0])
+    for i, row in enumerate(data):
         for col, part in enumerate(parts, start=1):
-            assert abs(row[col] - negativity(state, part)) <= 1e-15
+            assert abs(row[col] - negativity_grid(*part.weights(probs[:, i]))) <= 1e-15
 
 
 def test_entangle_requires_partitions(tmp_path):
@@ -234,6 +232,24 @@ def test_sweep_names_missing_range_flag(tmp_path, capsys):
     for argv, message in cases:
         assert main(["sweep", *argv, *out]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "range_flags, message",
+    [
+        (["--delta-min", "0", "--delta-max", "2"], "starting at 0.0"),
+        (["--delta-min", "-1", "--delta-max", "2"], "starting at -1.0"),
+        # 100001 points x 100001 tau samples x 4 nodes, refused before evaluation
+        (["--delta-min", "1", "--delta-max", "2", "--delta-step", "1e-5", "--dtau", "0.001"],
+         "cap is 1e+10"),
+    ],
+)
+def test_sweep_usage_error_names_value(tmp_path, capsys, range_flags, message):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--system", "rect-along", *range_flags, "--T", "100",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_peaks_rect_along(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spintransfer.closedforms import cube_P, rect_P, rect_degenerate_P, two_node_P
 from spintransfer.dynamics import probability_grid, tau_grid
 from spintransfer.geometry import coupling_matrix
-from spintransfer.search import System
+from spintransfer.search import KINDS, System, coupling_rows
 
 taus = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 couplings = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False)
@@ -93,3 +93,23 @@ def test_degenerate_rect_matches_spectral_path(kind, delta):
 def test_cube_matches_spectral_path():
     expected = np.stack(cube_P(GRID))
     assert np.abs(_spectral(System("box", delta1=1.0, delta2=1.0), GRID) - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "kind, deltas, expected, bound",
+    [
+        ("chain2", (), lambda g, d: two_node_P(g), 1e-14),
+        ("rect-perp", (4.3,), lambda g, d: rect_P(g, d[2], d[3]), 1e-14),
+        ("rect-along", (2.0,), lambda g, d: rect_P(g, d[2], d[3]), 1e-14),
+        ("rect-perp", (1.0,), lambda g, d: rect_degenerate_P(g, d[2]), 1e-14),
+        ("rect-along", (0.5,), lambda g, d: rect_degenerate_P(g, d[2]), 1e-14),
+        ("box", (1.0, 1.0), lambda g, d: cube_P(g), 1e-13),
+    ],
+)
+def test_probability_grid_matches_closed_forms(kind, deltas, expected, bound):
+    # the sign-basis kernel behind System.probability_grid, to T = 100,
+    # with the closed forms fed the same coupling row
+    grid = tau_grid(100.0, 0.01)
+    system = System(kind, **dict(zip(KINDS[kind][1], deltas)))
+    d = coupling_rows(kind, [deltas])[0]
+    assert np.abs(system.probability_grid(grid) - np.stack(expected(grid, d))).max() <= bound

@@ -12,11 +12,12 @@ from spintransfer.dynamics import (
     evolve_grid,
     fidelity,
     probability_grid,
+    sign_probability_grid,
     tau_grid,
 )
 from spintransfer.geometry import coupling_matrix
 from spintransfer.hamiltonian import analytic_spectrum
-from spintransfer.search import System
+from spintransfer.search import KINDS, System, coupling_rows
 
 taus = st.floats(min_value=0.0, max_value=60.0, allow_nan=False)
 deltas = st.floats(min_value=0.1, max_value=12.0, allow_nan=False)
@@ -166,6 +167,55 @@ def test_probabilities_basis_invariant_at_degeneracy():
         numeric = evolve(sys.spectrum(), 1, tau)
         analytic = evolve(analytic_spectrum(c), 1, tau)
         assert np.allclose(numeric.probabilities, analytic.probabilities, atol=1e-10)
+
+
+def test_sign_kernel_matches_numeric_spectrum():
+    # System.probability_grid (closed-form row, real kernel) against the
+    # eigh route
+    rng = np.random.default_rng(11)
+    grid = tau_grid(10.0, 0.01)
+    for _ in range(60):
+        kind = str(rng.choice(list(KINDS)))
+        n_nodes, names = KINDS[kind]
+        deltas = {name: float(rng.uniform(0.5, 30.0)) for name in names}
+        system = System(kind, **deltas, k0=int(rng.integers(1, n_nodes + 1)))
+        numeric = probability_grid(system.spectrum(), system.k0, grid)
+        assert np.abs(system.probability_grid(grid) - numeric).max() <= 1e-12
+
+
+def _sign_rows(rng):
+    """Rows of 37 clusters of each sign-basis size, from random parameters."""
+    return [
+        coupling_rows("chain2", np.zeros((37, 0))),
+        coupling_rows("rect-along", rng.uniform(0.5, 30.0, size=(37, 1))),
+        coupling_rows("box", rng.uniform(0.5, 30.0, size=(37, 2))),
+    ]
+
+
+def test_sign_kernel_nested_grid_is_exact():
+    # every other sample of the halved grid is the coarse grid's sample, bit for bit
+    coarse, fine = tau_grid(7.0, 0.01), tau_grid(7.0, 0.005)
+    for rows in _sign_rows(np.random.default_rng(12)):
+        for k0 in (1, rows.shape[1]):
+            halved = sign_probability_grid(rows, k0, fine)
+            assert np.array_equal(sign_probability_grid(rows, k0, coarse), halved[..., ::2])
+
+
+def test_sign_kernel_point_alone_equals_point_in_block():
+    grid = tau_grid(5.0, 0.01)
+    for rows in _sign_rows(np.random.default_rng(13)):
+        block = sign_probability_grid(rows, 2, grid)
+        assert block.shape == (37, rows.shape[1], grid.size)
+        for c in (0, 18, 36):
+            assert np.array_equal(sign_probability_grid(rows[c : c + 1], 2, grid)[0], block[c])
+
+
+def test_sign_kernel_rejects_bad_input():
+    for rows in (np.zeros((1, 3)), np.zeros(4), np.zeros((0, 4))):
+        with pytest.raises(ValueError, match="G >= 1, N = 2, 4 or 8"):
+            sign_probability_grid(rows, 1, np.zeros(2))
+    with pytest.raises(ValueError, match="node index 5"):
+        sign_probability_grid(np.zeros((1, 4)), 5, np.zeros(2))
 
 
 def test_density_element_definition():

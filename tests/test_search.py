@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spintransfer.dynamics import probability_grid, tau_grid
+import spintransfer.search as search
+from spintransfer.dynamics import tau_grid
 from spintransfer.entanglement import negativity_grid
-from spintransfer.geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR
+from spintransfer.geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR, coupling_matrix
 from spintransfer.search import (
     DISPLAY_MARGIN,
+    KINDS,
     System,
+    coupling_rows,
     fn_value,
     fp_value,
     hpst_times,
@@ -87,6 +90,19 @@ def test_rectangle_field_mode_is_its_kind():
 
 def test_system_accepts_numpy_integer_k0():
     assert System("box", delta1=1.0, delta2=2.0, k0=np.int64(8)).k0 == 8
+
+
+def test_coupling_rows_match_coupling_matrix():
+    # the closed-form rows against the general layout route, relative to
+    # the row's largest coupling (single entries near zero cancel in both)
+    rng = np.random.default_rng(7)
+    for kind, (n_nodes, names) in KINDS.items():
+        params = rng.uniform(0.1, 30.0, size=(50, len(names)))
+        rows = coupling_rows(kind, params)
+        assert rows.shape == (50, n_nodes)
+        for row, values in zip(rows, params):
+            d = coupling_matrix(System(kind, **dict(zip(names, values))).layout()).d[0]
+            assert np.abs(row - d).max() <= 1e-15 * np.abs(d).max()
 
 
 def test_fp_frozen_rect_along():
@@ -240,7 +256,7 @@ def test_sweep1d_with_fn_column():
 def test_fn_value_is_min_over_pairs_of_best_negativity():
     # the pair loop the vectorized objective replaces
     system = System("box", delta1=9.0, delta2=26.2, k0=3)
-    probs = probability_grid(system.spectrum(), 3, tau_grid(5.0, 0.01))
+    probs = system.probability_grid(tau_grid(5.0, 0.01))
     best = min(
         negativity_grid(probs[i], probs[j]).max() for i in range(8) for j in range(i + 1, 8)
     )
@@ -309,6 +325,50 @@ def test_sweep1d_grid_cap():
     # 5 / 1e-300 steps: rejected before any delta is evaluated
     with pytest.raises(ValueError, match="1e-300.*cap is 1000000"):
         sweep1d(FIELD_ALONG_B, (2.0, 7.0), 1e-300, 3.5, 0.1)
+
+
+def test_sweep_work_cap():
+    # 100001 points x 100001 tau samples x 4 nodes: refused before any
+    # point is evaluated
+    with pytest.raises(ValueError, match="4e\\+10, cap is 1e\\+10"):
+        sweep1d(FIELD_ALONG_B, (1.0, 2.0), 1e-5, 100.0, 0.001)
+
+
+@pytest.mark.parametrize("lo", [0.0, -1.0])
+def test_sweeps_reject_non_positive_delta(lo):
+    with pytest.raises(ValueError, match=f"positive, got a range starting at {lo!r}"):
+        sweep1d(FIELD_ALONG_B, (lo, 2.0), 0.1, 1.0, 0.1)
+    with pytest.raises(ValueError, match=f"starting at {lo!r}"):
+        sweep2d((lo, 2.0), (1.0, 2.0), 0.1, 1.0, 0.1)
+    with pytest.raises(ValueError, match=f"starting at {lo!r}"):
+        sweep2d((1.0, 2.0), (lo, 2.0), 0.1, 1.0, 0.1)
+
+
+def test_sweep_blocks_are_bounded_and_each_point_is_its_fp_value(monkeypatch):
+    # T=6, dtau=0.001: 6001 samples x 4 nodes, so two points per block;
+    # every point comes out exactly as evaluated alone
+    blocks = []
+    kernel = search.sign_probability_grid
+
+    def recording(rows, k0, taus):
+        blocks.append(rows.shape[0] * rows.shape[1] * len(taus))
+        return kernel(rows, k0, taus)
+
+    monkeypatch.setattr(search, "sign_probability_grid", recording)
+    res = sweep1d(FIELD_ALONG_B, (2.3, 2.4), 0.01, 6.0, 0.001)
+    assert blocks == [2 * 4 * 6001] * 5 + [4 * 6001]
+    for delta, fp in zip(res.grid, res.fp):
+        assert fp == fp_value(System("rect-along", delta=delta), 6.0, 0.001)
+    blocks.clear()
+    # 10 box points of 8 x 2501 values, three to a block
+    res = sweep2d((9.0, 9.1), (26.0, 26.4), (0.1, 0.1), 25.0, 0.01)
+    assert blocks == [3 * 8 * 2501] * 3 + [8 * 2501]
+    for (d1, d2), fp in zip(res.grid, res.fp):
+        assert fp == fp_value(System("box", delta1=d1, delta2=d2), 25.0, 0.01)
+    blocks.clear()
+    # a point larger than a block takes one of its own
+    sweep1d(FIELD_ALONG_B, (2.3, 2.32), 0.01, 20.0, 0.001)
+    assert blocks == [4 * 20001] * 3
 
 
 @pytest.mark.parametrize(

@@ -128,9 +128,43 @@ def _sign_terms(s: int) -> tuple:
 # sign_probability_grid's term tables by node count.
 _SIGN_TERMS = {2**s: _sign_terms(s) for s in (1, 2, 3)}
 
+# Absolute error of numpy's float64 sin and cos, in units of eps: below
+# 0.26 eps for arguments up to 1e8 against long-double references
+# (numpy 2.4), so this leaves a wide margin.
+_TRIG_EPS = 4.0
+
+
+def _sign_curvature(rows: np.ndarray) -> np.ndarray:
+    """M = (1/2) sum_g d_1g**2 per row: |P_{k0 m}''(tau)| <= M for every m, k0, tau.
+
+    P_m(tau) = sum_jk w_mj w_mk cos((lambda_j - lambda_k) tau / 2), and in
+    the sign basis |w_mj w_mk| = 1/N**2 while
+    sum_jk (lambda_j - lambda_k)**2 = 2 N**2 sum_g d_1g**2.
+    """
+    return 0.5 * (np.asarray(rows, dtype=float)[:, 1:] ** 2).sum(axis=1)
+
+
+def _sign_rounding(rows: np.ndarray, tau_max: float) -> np.ndarray:
+    """Bound per row on |computed - exact| of any sign_probability_grid
+    sample at 0 <= tau <= tau_max, exact meaning P at the same float row
+    and tau.
+
+    Each factor cos(d_1g tau) or sin(d_1g tau) is off by at most
+    eps (|d_1g| tau + _TRIG_EPS) (the rounded angle, then the function);
+    a product of at most N such factors adds N eps, E_p's t terms add
+    t eps each, and the log2(N) butterflies of sums at most t in size add
+    log2(N) t eps.  So one sample is within
+    eps t (sum_g |d_1g| tau_max + N (_TRIG_EPS + 1) + t + log2 N).
+    """
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[1]
+    t = max(len(terms) for _, terms in _SIGN_TERMS[n])
+    spread = np.abs(rows[:, 1:]).sum(axis=1) * tau_max
+    return np.finfo(float).eps * t * (spread + n * (_TRIG_EPS + 1) + t + n.bit_length() - 1)
+
 
 def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.ndarray:
-    """P_{k0 m}(tau_i) of G sign-basis clusters as a (G, N, len(taus)) array.
+    """P_{k0 m}(tau_i) of G sign-basis clusters as a (G, N, K) array.
 
     rows[c] is the first coupling row (d_11 = 0, d_12, ..., d_1N) of
     cluster c, for N = 2, 4 or 8 nodes numbered as in layout_chain2,
@@ -145,6 +179,9 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     and every sample is computed from its row and its tau alone, in the
     same order of operations, so it comes out bit for bit the same
     whichever other rows and times share the call.
+
+    taus is one grid of K times shared by all rows, or a (G, K) array
+    holding row c's own times in taus[c].
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] not in _SIGN_TERMS:
@@ -152,9 +189,12 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     n_points, n = rows.shape
     _check_node(k0, n)
     taus = np.asarray(taus, dtype=float)
+    if not (taus.ndim == 1 or taus.ndim == 2 and taus.shape[0] == n_points):
+        raise ValueError(f"taus must have shape (K,) or ({n_points}, K), got {taus.shape}")
     table = _SIGN_TERMS[n]
-    # d_1g tau for the nodes g >= 1, as (G, K) arrays; a coupling that
-    # every row shares (d_12 = 1 along a sweep) is evaluated once, as (1, K).
+    # d_1g tau for the nodes g >= 1, as (G, K) arrays; on a shared grid a
+    # coupling that every row shares (d_12 = 1 along a sweep) is
+    # evaluated once, as (1, K).
     angles = [
         rows[:1, g, None] * taus if np.all(rows[:, g] == rows[0, g]) else rows[:, g, None] * taus
         for g in range(1, n)
@@ -163,7 +203,7 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     cos = [np.cos(a, out=a) for a in angles]
     # e[p] = psi_p(k0) E_p / N, so the Walsh-Hadamard transform over p
     # gives P_{k0 m} at e[m] directly; scaling by +-1/N is exact.
-    e = np.empty((n, n_points, taus.size))
+    e = np.empty((n, n_points, taus.shape[-1]))
     e[0] = 1.0 / n
     for p, (psi, terms) in enumerate(table, start=1):
         total = None

@@ -23,7 +23,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import _MAX_GRID_POINTS, _check_node, _whole_steps, sign_probability_grid, tau_grid
+from .dynamics import (
+    _MAX_GRID_POINTS,
+    _check_node,
+    _sign_curvature,
+    _sign_rounding,
+    _whole_steps,
+    sign_probability_grid,
+    tau_grid,
+)
 from .entanglement import negativity_grid
 from .geometry import (
     FIELD_ALONG_B,
@@ -106,6 +114,11 @@ def coupling_rows(kind: str, params) -> np.ndarray:
 # Points x N x tau samples of the probability block a sweep evaluates at
 # once; a point whose own grid is larger takes a block by itself.
 _BLOCK_ELEMENTS = 2**16
+
+# An FP sweep's coarse pass evaluates every _COARSE_STRIDE-th tau sample
+# (and the last); 8 to 10 evaluated the fewest samples on the acceptance
+# sweeps.
+_COARSE_STRIDE = 10
 
 # Cap on a sweep's total work, points x tau samples x N: at the measured
 # 9e7 samples/s, about two minutes.
@@ -192,7 +205,9 @@ class SweepResult:
     grid holds the swept points (delta values, or (delta1, delta2) rows
     for 2D), fp and optionally fn the objectives per point, hpst the
     per-point membership flags and intervals the maximal contiguous
-    flagged runs (1D only; empty tuple for 2D).
+    flagged runs (1D only; empty tuple for 2D).  samples counts the
+    probability values evaluated: points x N x tau samples for a dense
+    sweep, fewer where the coarse pass of an FP sweep pruned some.
     """
 
     grid: np.ndarray
@@ -202,6 +217,7 @@ class SweepResult:
     hpst: np.ndarray
     p0: float
     margin: float
+    samples: int
 
 
 def _check_finite(**values) -> None:
@@ -302,11 +318,56 @@ def _intervals_from_flags(grid: np.ndarray, flags: np.ndarray) -> tuple:
     return tuple(runs)
 
 
+def _blocks(indices: np.ndarray, per_point: int) -> list:
+    """indices in runs of _BLOCK_ELEMENTS // per_point (at least one)."""
+    step = max(1, _BLOCK_ELEMENTS // per_point)
+    return [indices[i : i + step] for i in range(0, len(indices), step)]
+
+
+def _pruned_fp(rows: np.ndarray, taus: np.ndarray, coarse: np.ndarray):
+    """FP of the rows (k0 = 1) on taus, equal to the dense result, and the
+    number of probability values evaluated.
+
+    The samples at the coarse indices of taus come first.  Between two of
+    them, h apart, P_m is at most the larger end plus M h**2 / 8 (M from
+    _sign_curvature; the error of linear interpolation), plus twice the
+    kernel's rounding bound: the ends and the skipped sample each carry
+    it.  Only the segments where that bound reaches some node's coarse
+    maximum get their inner samples evaluated, one kernel row per
+    segment; every skipped sample is then below one that was evaluated.
+    """
+    probs = sign_probability_grid(rows, 1, taus[coarse])
+    samples = probs.size
+    best = probs.max(axis=-1)
+    bound = (
+        _sign_curvature(rows)[:, None] * np.diff(taus[coarse]) ** 2 / 8.0
+        + 2.0 * _sign_rounding(rows, taus[-1])[:, None]
+    )
+    ends = np.maximum(probs[..., :-1], probs[..., 1:])
+    del probs
+    ends += bound[:, None]
+    refine = np.any(ends >= best[..., None], axis=1)
+    del ends
+    lengths = np.diff(coarse)
+    # every segment but the last is _COARSE_STRIDE samples long
+    for length in {int(lengths[0]), int(lengths[-1])} - {1}:
+        point, segment = np.nonzero(refine & (lengths == length))
+        for part in _blocks(np.arange(point.size), rows.shape[1] * (length - 1)):
+            inner = coarse[segment[part], None] + np.arange(1, length)
+            fine = sign_probability_grid(rows[point[part]], 1, taus[inner]).max(axis=-1)
+            samples += inner.size * rows.shape[1]
+            np.maximum.at(best, point[part], fine)
+    return best.min(axis=-1), samples
+
+
 def _sweep(kind: str, grid, T: float, dtau: float, P0: float, margin: float, with_fn=False):
     """SweepResult of the kind's clusters (k0 = 1) at the grid points.
 
-    FP (and FN) of each point come from one probability grid, evaluated
-    for blocks of points of at most _BLOCK_ELEMENTS values each.
+    Every kernel call holds at most _BLOCK_ELEMENTS probability values,
+    or one point's dense grid.  FN sweeps evaluate each point's whole
+    grid.  FP-only sweeps take a coarse pass first (_pruned_fp) unless a
+    point's curvature bound over _COARSE_STRIDE samples reaches 1, when
+    nothing could be pruned; either way FP is the dense grid's exactly.
     """
     _check_finite(P0=P0, margin=margin)
     taus = tau_grid(T, dtau)
@@ -320,17 +381,25 @@ def _sweep(kind: str, grid, T: float, dtau: float, P0: float, margin: float, wit
     params = grid.reshape(len(grid), -1)
     fp = np.empty(len(grid))
     fn = np.empty(len(grid)) if with_fn else None
-    step = max(1, _BLOCK_ELEMENTS // (n_nodes * taus.size))
-    for start in range(0, len(grid), step):
-        block = slice(start, start + step)
-        probs = sign_probability_grid(coupling_rows(kind, params[block]), 1, taus)
-        fp[block] = _fp(probs)
-        if with_fn:
-            fn[block] = _fn(probs)
-        del probs  # freed before the next block is allocated
+    samples = 0
+    coarse = np.minimum(np.arange(0, taus.size - 1 + _COARSE_STRIDE, _COARSE_STRIDE), taus.size - 1)
+    for block in _blocks(np.arange(len(grid)), n_nodes * coarse.size):
+        rows = coupling_rows(kind, params[block])
+        dense = with_fn | (_sign_curvature(rows) * (_COARSE_STRIDE * dtau) ** 2 / 8.0 >= 1.0)
+        for part in _blocks(np.flatnonzero(dense), n_nodes * taus.size):
+            probs = sign_probability_grid(rows[part], 1, taus)
+            samples += probs.size
+            fp[block[part]] = _fp(probs)
+            if with_fn:
+                fn[block[part]] = _fn(probs)
+            del probs  # freed before the next block is allocated
+        pruned = np.flatnonzero(~dense)
+        if pruned.size:
+            fp[block[pruned]], n = _pruned_fp(rows[pruned], taus, coarse)
+            samples += n
     flags = fp >= P0 - margin
     intervals = _intervals_from_flags(grid, flags) if grid.ndim == 1 else ()
-    return SweepResult(grid, fp, fn, intervals, flags, P0, margin)
+    return SweepResult(grid, fp, fn, intervals, flags, P0, margin, samples)
 
 
 def sweep1d(
@@ -376,5 +445,5 @@ def sweep2d(
     g2 = _uniform_grid(delta2_range, step2, strict=False)
     if g1.size * g2.size > _MAX_GRID_POINTS:
         raise ValueError(f"sweep grid has {g1.size * g2.size} points, cap is {_MAX_GRID_POINTS}")
-    grid = np.array([(d1, d2) for d1 in g1 for d2 in g2])
+    grid = np.column_stack([np.repeat(g1, g2.size), np.tile(g2, g1.size)])
     return _sweep("box", grid, T, dtau, P0, margin)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from spintransfer.dynamics import (
     TransferState,
+    _sign_curvature,
+    _sign_rounding,
     density_element,
     evolve,
     evolve_grid,
@@ -16,7 +18,7 @@ from spintransfer.dynamics import (
     tau_grid,
 )
 from spintransfer.geometry import coupling_matrix
-from spintransfer.hamiltonian import analytic_spectrum
+from spintransfer.hamiltonian import analytic_spectrum, sign_basis
 from spintransfer.search import KINDS, System, coupling_rows
 
 taus = st.floats(min_value=0.0, max_value=60.0, allow_nan=False)
@@ -210,12 +212,84 @@ def test_sign_kernel_point_alone_equals_point_in_block():
             assert np.array_equal(sign_probability_grid(rows[c : c + 1], 2, grid)[0], block[c])
 
 
+def _rows_of_every_kind(rng, count=37):
+    """(kind, rows) of count clusters of each kind, deltas in [0.5, 30]."""
+    return [
+        (kind, coupling_rows(kind, rng.uniform(0.5, 30.0, size=(count, len(names)))))
+        for kind, (_, names) in KINDS.items()
+    ]
+
+
+def test_sign_kernel_per_row_times_equal_dense_samples():
+    # (G, K) times gathered from a shared grid give that grid's samples bit for bit
+    rng = np.random.default_rng(14)
+    grid = tau_grid(6.0, 0.001)
+    for kind, rows in _rows_of_every_kind(rng):
+        picks = rng.integers(0, grid.size, size=(rows.shape[0], 9))
+        for k0 in range(1, rows.shape[1] + 1):
+            dense = sign_probability_grid(rows, k0, grid)
+            gathered = sign_probability_grid(rows, k0, grid[picks])
+            assert gathered.shape == (rows.shape[0], rows.shape[1], 9)
+            assert np.array_equal(gathered, np.take_along_axis(dense, picks[:, None, :], axis=2)), (kind, k0)
+
+
+def test_sign_kernel_conserves_probability():
+    # the sweep route never meets the evolve audit of conftest, so check
+    # sum_m P_m = 1 here, on a shared grid and on per-row times
+    rng = np.random.default_rng(15)
+    grid = tau_grid(30.0, 0.01)
+    for kind, rows in _rows_of_every_kind(rng):
+        own = rng.uniform(0.0, 30.0, size=(rows.shape[0], 500))
+        for k0 in range(1, rows.shape[1] + 1):
+            for times in (grid, own):
+                total = sign_probability_grid(rows, k0, times).sum(axis=1)
+                assert np.abs(total - 1.0).max() <= 1e-10, (kind, k0)
+
+
+def test_sign_curvature_bounds_second_derivative():
+    # |P''| <= (1/2) sum_g d_1g**2 for every node; the return probability
+    # meets it at tau = 0, so the bound is tight
+    rng = np.random.default_rng(16)
+    h = 1e-3
+    times = np.arange(-1, 4001) * h
+    for kind, rows in _rows_of_every_kind(rng, count=9):
+        bound = _sign_curvature(rows)
+        roundoff = 8.0 * np.finfo(float).eps / h**2
+        for k0 in range(1, rows.shape[1] + 1):
+            p = sign_probability_grid(rows, k0, times)
+            second = np.abs(p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]).max(axis=(1, 2)) / h**2
+            assert np.all(second <= bound + roundoff), (kind, k0)
+            assert np.min(second / bound) > 0.99, (kind, k0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+def test_sign_rounding_bound_covers_kernel_error():
+    # against P evaluated in extended precision from the eigenvalues
+    # lambda_p = sum_g psi_p(g) d_1g of the same float rows and times
+    rng = np.random.default_rng(17)
+    for kind, rows in _rows_of_every_kind(rng, count=9):
+        n = rows.shape[1]
+        tau_max = 40.0
+        times = np.sort(rng.uniform(0.0, tau_max, size=300))
+        psi = np.rint(sign_basis(n.bit_length() - 1) * np.sqrt(n)).astype(np.longdouble)
+        lam = rows.astype(np.longdouble) @ psi.T  # (G, N) eigenvalues
+        phases = np.exp(-0.5j * lam[..., None] * times.astype(np.longdouble))  # (G, p, K)
+        for k0 in (1, n):
+            amp = np.einsum("mp,gpk->gmk", psi * psi[:, k0 - 1], phases) / n
+            exact = np.abs(amp) ** 2
+            error = np.abs(sign_probability_grid(rows, k0, times) - exact).max(axis=(1, 2))
+            assert np.all(error <= _sign_rounding(rows, tau_max)), (kind, k0)
+
+
 def test_sign_kernel_rejects_bad_input():
     for rows in (np.zeros((1, 3)), np.zeros(4), np.zeros((0, 4))):
         with pytest.raises(ValueError, match="G >= 1, N = 2, 4 or 8"):
             sign_probability_grid(rows, 1, np.zeros(2))
     with pytest.raises(ValueError, match="node index 5"):
         sign_probability_grid(np.zeros((1, 4)), 5, np.zeros(2))
+    for taus in (np.zeros((2, 3)), np.zeros((1, 1, 3)), np.float64(0.0)):
+        with pytest.raises(ValueError, match=r"taus must have shape \(K,\) or \(1, K\)"):
+            sign_probability_grid(np.zeros((1, 4)), 1, taus)
 
 
 def test_density_element_definition():

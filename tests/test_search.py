@@ -345,30 +345,74 @@ def test_sweeps_reject_non_positive_delta(lo):
 
 
 def test_sweep_blocks_are_bounded_and_each_point_is_its_fp_value(monkeypatch):
-    # T=6, dtau=0.001: 6001 samples x 4 nodes, so two points per block;
-    # every point comes out exactly as evaluated alone
-    blocks = []
+    # every kernel call holds at most _BLOCK_ELEMENTS values, or one
+    # point's dense grid; every point comes out exactly as evaluated alone
+    calls = []
     kernel = search.sign_probability_grid
 
     def recording(rows, k0, taus):
-        blocks.append(rows.shape[0] * rows.shape[1] * len(taus))
+        calls.append((rows.shape[0], rows.shape[0] * rows.shape[1] * np.shape(taus)[-1]))
         return kernel(rows, k0, taus)
 
+    def sweep(run, *args, dense_point, **kwargs):
+        calls.clear()
+        res = run(*args, **kwargs)
+        assert calls
+        for points, values in calls:
+            assert values <= search._BLOCK_ELEMENTS or (points == 1 and values <= dense_point)
+        return res
+
     monkeypatch.setattr(search, "sign_probability_grid", recording)
-    res = sweep1d(FIELD_ALONG_B, (2.3, 2.4), 0.01, 6.0, 0.001)
-    assert blocks == [2 * 4 * 6001] * 5 + [4 * 6001]
+    res = sweep(sweep1d, FIELD_ALONG_B, (2.3, 2.4), 0.01, 6.0, 0.001, dense_point=4 * 6001)
     for delta, fp in zip(res.grid, res.fp):
         assert fp == fp_value(System("rect-along", delta=delta), 6.0, 0.001)
-    blocks.clear()
-    # 10 box points of 8 x 2501 values, three to a block
-    res = sweep2d((9.0, 9.1), (26.0, 26.4), (0.1, 0.1), 25.0, 0.01)
-    assert blocks == [3 * 8 * 2501] * 3 + [8 * 2501]
+    # 10 box points of 8 x 2501 values
+    res = sweep(sweep2d, (9.0, 9.1), (26.0, 26.4), (0.1, 0.1), 25.0, 0.01, dense_point=8 * 2501)
     for (d1, d2), fp in zip(res.grid, res.fp):
         assert fp == fp_value(System("box", delta1=d1, delta2=d2), 25.0, 0.01)
-    blocks.clear()
     # a point larger than a block takes one of its own
-    sweep1d(FIELD_ALONG_B, (2.3, 2.32), 0.01, 20.0, 0.001)
-    assert blocks == [4 * 20001] * 3
+    sweep(sweep1d, FIELD_ALONG_B, (2.3, 2.32), 0.01, 20.0, 0.001, with_fn=True, dense_point=4 * 20001)
+    assert calls == [(1, 4 * 20001)] * 3
+    sweep(sweep1d, FIELD_ALONG_B, (2.3, 2.32), 0.01, 20.0, 0.001, dense_point=4 * 20001)
+
+
+def _dense_samples(res, n_nodes, T, dtau):
+    return len(res.grid) * n_nodes * tau_grid(T, dtau).size
+
+
+def test_sweep_samples_count_evaluated_values():
+    # FN sweeps and the box scan at T=1 (no segment can be skipped) are dense
+    res = sweep1d(FIELD_ALONG_B, (2.0, 7.0), 0.01, 3.5, 0.01, with_fn=True)
+    assert res.samples == _dense_samples(res, 4, 3.5, 0.01)
+    res = sweep2d((1.0, 30.0), (1.0, 30.0), 0.25, 1.0, 0.05)
+    assert res.samples == _dense_samples(res, 8, 1.0, 0.05)
+    # the fine acceptance sweep evaluates under a fifth of its dense grid
+    res = sweep1d(FIELD_ALONG_B, (1.5, 31.0), 0.01, 6.0, 0.001)
+    assert 0 < res.samples <= 0.2 * _dense_samples(res, 4, 6.0, 0.001)
+
+
+@pytest.mark.parametrize("mode", [FIELD_PERPENDICULAR, FIELD_ALONG_B])
+def test_pruned_fp_equals_dense_at_large_delta_and_small_step(mode):
+    # delta ~ 100 turns fast, dtau = 1e-5 makes the segments short
+    res = sweep1d(mode, (100.0, 100.01), 0.01, 9.0, 1e-5)
+    assert res.samples < 0.5 * _dense_samples(res, 4, 9.0, 1e-5)
+    for delta, fp in zip(res.grid, res.fp):
+        assert fp == fp_value(System(mode, delta=delta), 9.0, 1e-5)
+
+
+def test_pruned_box_sweep_equals_dense():
+    res = sweep2d((0.5, 2.0), (0.5, 2.0), 0.5, 25.0, 0.01)
+    assert res.samples < _dense_samples(res, 8, 25.0, 0.01)
+    for (d1, d2), fp in zip(res.grid, res.fp):
+        assert fp == fp_value(System("box", delta1=d1, delta2=d2), 25.0, 0.01)
+
+
+def test_sweep2d_grid_order():
+    # delta1 major, delta2 minor, as the nested comprehension built it
+    res = sweep2d((1.0, 2.0), (3.0, 3.3), (0.25, 0.1), 1.0, 0.5)
+    g1 = search._uniform_grid((1.0, 2.0), 0.25, strict=False)
+    g2 = search._uniform_grid((3.0, 3.3), 0.1, strict=False)
+    assert np.array_equal(res.grid, np.array([(d1, d2) for d1 in g1 for d2 in g2]))
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -145,7 +146,13 @@ def _add_system_flags(sub, with_out: bool, with_params: bool = True) -> None:
         sub.add_argument("--out", required=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    parse_args leaves it unchanged (an append action copies its default
+    before appending), so consecutive main() calls share no state.
+    """
     parser = argparse.ArgumentParser(
         prog="spintransfer",
         description="Excitation transfer and entanglement in small dipolar spin clusters.",

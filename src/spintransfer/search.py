@@ -291,15 +291,14 @@ def hpst_times(system: System, T: float, dtau: float, p0: float = 0.9):
     _check_finite(p0=p0)
     taus = tau_grid(T, dtau)
     probs = system.probability_grid(taus)
-    records = []
-    for m in range(1, system.n_nodes + 1):
-        y = probs[m - 1]
-        left = np.r_[True, y[1:] >= y[:-1]]
-        right = np.r_[y[:-1] >= y[1:], True]
-        for i in np.nonzero(left & right & (y >= p0))[0]:
-            tau_star, p_star = _refine(taus, y, int(i), dtau)
-            records.append(PeakRecord(m, tau_star, p_star))
-            break
+    peak = probs >= p0
+    peak[:, 1:] &= probs[:, 1:] >= probs[:, :-1]
+    peak[:, :-1] &= probs[:, :-1] >= probs[:, 1:]
+    first = peak.argmax(axis=1)
+    records = [
+        PeakRecord(int(m) + 1, *_refine(taus, probs[m], int(first[m]), dtau))
+        for m in np.flatnonzero(peak.any(axis=1))
+    ]
     window = max(r.tau_star for r in records) if len(records) == system.n_nodes else None
     return records, window
 
@@ -365,9 +364,10 @@ def _sweep(kind: str, grid, T: float, dtau: float, P0: float, margin: float, wit
 
     Every kernel call holds at most _BLOCK_ELEMENTS probability values,
     or one point's dense grid.  FN sweeps evaluate each point's whole
-    grid.  FP-only sweeps take a coarse pass first (_pruned_fp) unless a
-    point's curvature bound over _COARSE_STRIDE samples reaches 1, when
-    nothing could be pruned; either way FP is the dense grid's exactly.
+    grid.  FP-only sweeps take a coarse pass first (_pruned_fp) unless the
+    tau grid holds at most 2 * _COARSE_STRIDE + 1 samples, or a point's
+    curvature bound over _COARSE_STRIDE samples reaches 1, when nothing
+    could be pruned; either way FP is the dense grid's exactly.
     """
     _check_finite(P0=P0, margin=margin)
     taus = tau_grid(T, dtau)
@@ -383,9 +383,13 @@ def _sweep(kind: str, grid, T: float, dtau: float, P0: float, margin: float, wit
     fn = np.empty(len(grid)) if with_fn else None
     samples = 0
     coarse = np.minimum(np.arange(0, taus.size - 1 + _COARSE_STRIDE, _COARSE_STRIDE), taus.size - 1)
+    # A segment ending at some node's coarse maximum is always refined, so
+    # on at most two segments the coarse pass skips next to nothing and
+    # only adds kernel calls (1.3 to 2.2 times the dense time at 21 samples).
+    all_dense = with_fn or taus.size <= 2 * _COARSE_STRIDE + 1
     for block in _blocks(np.arange(len(grid)), n_nodes * coarse.size):
         rows = coupling_rows(kind, params[block])
-        dense = with_fn | (_sign_curvature(rows) * (_COARSE_STRIDE * dtau) ** 2 / 8.0 >= 1.0)
+        dense = all_dense | (_sign_curvature(rows) * (_COARSE_STRIDE * dtau) ** 2 / 8.0 >= 1.0)
         for part in _blocks(np.flatnonzero(dense), n_nodes * taus.size):
             probs = sign_probability_grid(rows[part], 1, taus)
             samples += probs.size

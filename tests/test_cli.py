@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spintransfer
-from spintransfer.cli import main
+from spintransfer.cli import build_parser, main
 from spintransfer.entanglement import Bipartition, negativity_grid
 from spintransfer.search import System
 from spintransfer.verify import SuiteResult
@@ -415,6 +415,37 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
+    # every main() of a process parses with one parser; nothing a call
+    # parsed (the --partition list, --k0) carries over to the next
+    assert build_parser() is build_parser()
+    ent = tmp_path / "ent.csv"
+    assert main(["entangle", "--system", "box", "--delta1", "9", "--delta2", "26.2", "--k0", "2",
+                 "--T", "1", "--out", str(ent), "--partition", "15_48",
+                 "--partition", "1458_2367"]) == 0
+    assert ent.read_text().splitlines()[0] == "tau,N_15_48,N_1458_2367"
+    capsys.readouterr()
+    assert main(["entangle", "--system", "box", "--delta1", "9", "--delta2", "26.2",
+                 "--T", "1", "--out", str(tmp_path / "none.csv")]) == 2
+    assert "at least one --partition is required" in capsys.readouterr().err
+    assert not (tmp_path / "none.csv").exists()
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--system", "box", "--T", "1", "--out", str(tmp_path / "x.csv"),
+              "--partition", "15_48"])
+    assert err.value.code == 2
+    argv = ["simulate", "--system", "box", "--delta1", "9", "--delta2", "26.2", "--T", "1"]
+    assert main([*argv, "--out", str(tmp_path / "again.csv")]) == 0
+    fresh = tmp_path / "fresh.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "spintransfer.cli", *argv, "--out", str(fresh)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "again.csv").read_bytes() == fresh.read_bytes()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

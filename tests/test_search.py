@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spintransfer.search as search
@@ -182,6 +182,53 @@ def test_peaks_and_window_lie_in_time_range(kind, delta, T, frac, p0):
     records, window = hpst_times(System(kind, **params), T, T * frac, p0=p0)
     assert all(0.0 <= r.tau_star <= T for r in records)
     assert window is None or 0.0 <= window <= T
+
+
+def _hpst_times_loop(system, T, dtau, p0):
+    """Reference: the per-node loop hpst_times ran before its vectorized pass."""
+    taus = tau_grid(T, dtau)
+    probs = system.probability_grid(taus)
+    records = []
+    for m in range(1, system.n_nodes + 1):
+        y = probs[m - 1]
+        left = np.r_[True, y[1:] >= y[:-1]]
+        right = np.r_[y[:-1] >= y[1:], True]
+        for i in np.nonzero(left & right & (y >= p0))[0]:
+            tau_star, p_star = search._refine(taus, y, int(i), dtau)
+            records.append(search.PeakRecord(m, tau_star, p_star))
+            break
+    window = max(r.tau_star for r in records) if len(records) == system.n_nodes else None
+    return records, window
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KINDS)),
+    delta1=st.floats(min_value=0.5, max_value=30.0),
+    delta2=st.floats(min_value=0.5, max_value=30.0),
+    k0=st.integers(min_value=1, max_value=8),
+    T=st.floats(min_value=0.05, max_value=12.0),
+    frac=st.floats(min_value=0.002, max_value=0.5),
+    p0=st.floats(min_value=0.0, max_value=1.0) | st.just(1.5),
+)
+# node 2 of the pair peaks at the right edge, node 1 at the left one
+@example(kind="chain2", delta1=1.0, delta2=1.0, k0=1, T=1.0, frac=0.01, p0=0.2)
+@example(kind="box", delta1=9.0, delta2=26.2, k0=3, T=25.0, frac=0.0004, p0=1.5)
+def test_hpst_times_equals_per_node_loop(kind, delta1, delta2, k0, T, frac, p0):
+    params = {"chain2": {}, "box": dict(delta1=delta1, delta2=delta2)}.get(kind, {"delta": delta1})
+    system = System(kind, k0=(k0 - 1) % KINDS[kind][0] + 1, **params)
+    expected = _hpst_times_loop(system, T, T * frac, p0)
+    records, window = hpst_times(system, T, T * frac, p0)
+    assert records == expected[0] and window == expected[1]
+    assert all(type(r.target) is int for r in records)
+    if p0 > 1.0:  # above every sample
+        assert records == [] and window is None
+
+
+def test_hpst_times_peaks_at_grid_edges():
+    records, window = hpst_times(System("chain2"), 1.0, 0.01, p0=0.2)
+    assert [(r.target, r.tau_star) for r in records] == [(1, 0.0), (2, 1.0)]
+    assert window == 1.0
 
 
 def test_hpst_records_meet_threshold():
@@ -389,6 +436,73 @@ def test_sweep_samples_count_evaluated_values():
     # the fine acceptance sweep evaluates under a fifth of its dense grid
     res = sweep1d(FIELD_ALONG_B, (1.5, 31.0), 0.01, 6.0, 0.001)
     assert 0 < res.samples <= 0.2 * _dense_samples(res, 4, 6.0, 0.001)
+
+
+@pytest.mark.parametrize(
+    "mode, delta_range, T, dtau, with_fn, samples",
+    [
+        (FIELD_PERPENDICULAR, (4.0, 11.0), 10.0, 0.01, False, 507592),
+        (FIELD_PERPENDICULAR, (2.0, 19.0), 15.0, 0.01, False, 2173320),
+        (FIELD_ALONG_B, (2.0, 7.0), 3.5, 0.01, True, 703404),
+        (FIELD_ALONG_B, (1.5, 31.0), 6.0, 0.001, False, 8191952),
+    ],
+)
+def test_acceptance_sweep_samples_unchanged(mode, delta_range, T, dtau, with_fn, samples):
+    # the four acceptance sweeps as the benchmark runs them
+    res = sweep1d(mode, delta_range, 0.01, T, dtau, with_fn=with_fn)
+    assert res.samples == samples
+
+
+def _record_time_shapes(monkeypatch) -> list:
+    """Shapes of the times of every kernel call the sweeps make from now on."""
+    shapes = []
+    kernel = search.sign_probability_grid
+
+    def recording(rows, k0, taus):
+        shapes.append(np.shape(taus))
+        return kernel(rows, k0, taus)
+
+    monkeypatch.setattr(search, "sign_probability_grid", recording)
+    return shapes
+
+
+def _coarse_route_fp(kind, grid, T, dtau):
+    """FP of every grid point through the coarse pass and pruned refinement."""
+    taus = tau_grid(T, dtau)
+    stride = search._COARSE_STRIDE
+    coarse = np.minimum(np.arange(0, taus.size - 1 + stride, stride), taus.size - 1)
+    rows = coupling_rows(kind, grid.reshape(len(grid), -1))
+    return search._pruned_fp(rows, taus, coarse)[0]
+
+
+@pytest.mark.parametrize(
+    "run, kind, T, dtau",
+    [
+        # the box scan of the benchmark
+        (lambda T, dtau: sweep2d((1.0, 30.0), (1.0, 30.0), 0.25, T, dtau), "box", 1.0, 0.05),
+        # eleven HPST intervals
+        (lambda T, dtau: sweep1d(FIELD_ALONG_B, (1.5, 7.0), 0.01, T, dtau), FIELD_ALONG_B,
+         3.5, 0.175),
+    ],
+    ids=["box-scan", "rect-along"],
+)
+def test_short_tau_grids_take_the_dense_route(monkeypatch, run, kind, T, dtau):
+    # 2 * _COARSE_STRIDE + 1 = 21 samples: every kernel call gets the
+    # whole shared grid, and FP, flags and intervals equal the coarse route
+    shapes = _record_time_shapes(monkeypatch)
+    res = run(T, dtau)
+    assert shapes and set(shapes) == {(2 * search._COARSE_STRIDE + 1,)}
+    fp = _coarse_route_fp(kind, res.grid, T, dtau)
+    assert np.array_equal(res.fp, fp)
+    flags = fp >= 0.9 - DISPLAY_MARGIN
+    assert np.array_equal(res.hpst, flags)
+    assert res.intervals == (search._intervals_from_flags(res.grid, flags) if kind != "box" else ())
+
+
+def test_22_tau_samples_take_the_coarse_pass(monkeypatch):
+    shapes = _record_time_shapes(monkeypatch)
+    sweep2d((1.0, 3.0), (1.0, 3.0), 0.25, 1.05, 0.05)
+    assert (4,) in shapes  # coarse samples 0, 10, 20 and 21
 
 
 @pytest.mark.parametrize("mode", [FIELD_PERPENDICULAR, FIELD_ALONG_B])

@@ -6,9 +6,12 @@ of the Hamiltonian (hamiltonian), evolve an initially localized
 excitation on a time grid (dynamics), score the resulting states by
 transfer probability and entanglement (entanglement, closedforms), and
 search coupling-strength space for geometries where every node is
-reached with high probability (search).  verify cross-checks the
-independent code paths against each other; cli exposes everything as
-subcommands.
+reached with high probability (search).  For the pair, the rectangle and
+the box every eigenvector is a sign pattern, so System.spectrum() and
+every probability grid come from the closed-form first coupling row;
+the layouts and the numeric eigh stay as the reference.  verify
+cross-checks the independent code paths against each other; cli exposes
+everything as subcommands.
 """
 
 from .closedforms import cube_P, rect_P, rect_degenerate_P, two_node_P
@@ -17,7 +20,6 @@ from .dynamics import (
     amplitude_grid,
     density_element,
     evolve,
-    evolve_grid,
     fidelity,
     probability_grid,
     sign_probability_grid,
@@ -93,7 +95,6 @@ __all__ = [
     "density_element",
     "diagonalize",
     "evolve",
-    "evolve_grid",
     "fidelity",
     "fn_value",
     "fp_value",

@@ -6,6 +6,11 @@ a global phase, so reported phases (and the fidelity built from them)
 are relative to that convention.  Node indices are 1-based throughout
 the public surface.
 
+evolve (one state) and amplitude_grid / probability_grid (a grid) take
+any Spectrum: System.spectrum(), the sign basis with eigenvalues from
+the closed-form coupling row, or the numeric eigh of a layout's coupling
+matrix (hamiltonian.diagonalize), which serves as the reference.
+
 sign_probability_grid is the real-valued route for the pair, the
 rectangle and the box, whose eigenvectors are the sign basis whatever
 the couplings: there the probabilities depend only on the first
@@ -14,6 +19,7 @@ coupling row.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import reduce
@@ -27,7 +33,6 @@ from .hamiltonian import Spectrum, sign_basis
 __all__ = [
     "TransferState",
     "evolve",
-    "evolve_grid",
     "amplitude_grid",
     "probability_grid",
     "sign_probability_grid",
@@ -66,16 +71,19 @@ def _check_node(k, n) -> None:
         raise ValueError(f"node index {k!r} must be an integer in 1..{n}")
 
 
-def _whole_steps(span: float, step: float) -> int:
-    # floor(span / step), a ratio within a relative 1e-9 below an integer
-    # counting as that integer: (26.4 - 26) / 0.1 = 3.999999999999986 gives 4.
+def _uniform(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo + i * step for i = 0..floor((hi - lo) / step), each point the
+    direct product, not an accumulated sum, and clipped to hi."""
+    span = hi - lo
+    # a ratio within a relative 1e-9 below an integer counts as that
+    # integer: (26.4 - 26) / 0.1 = 3.999999999999986 gives 4.
     ratio = span / step * (1.0 + 1e-9)
     if not ratio <= _MAX_GRID_POINTS:
         raise ValueError(
             f"a span of {span!r} in steps of {step!r} makes {ratio:.3g} grid steps, "
             f"cap is {_MAX_GRID_POINTS}"
         )
-    return int(ratio)
+    return np.minimum(lo + np.arange(int(ratio) + 1) * step, hi)
 
 
 def tau_grid(T: float, dtau: float) -> np.ndarray:
@@ -87,7 +95,7 @@ def tau_grid(T: float, dtau: float) -> np.ndarray:
     """
     if not 0 < dtau <= T < np.inf:
         raise ValueError(f"need 0 < dtau <= T < inf, got T={T!r}, dtau={dtau!r}")
-    return np.minimum(np.arange(_whole_steps(T, dtau) + 1) * dtau, T)
+    return _uniform(0.0, T, dtau)
 
 
 def amplitude_grid(spectrum: Spectrum, k0: int, taus: np.ndarray) -> np.ndarray:
@@ -224,24 +232,12 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
 
 
 def evolve(spectrum: Spectrum, k0: int, tau: float) -> TransferState:
-    """State of the excitation at a single time tau."""
-    amp = amplitude_grid(spectrum, k0, np.array([float(tau)]))[:, 0]
-    return TransferState(
-        tau=float(tau), k0=k0, amplitudes=amp, probabilities=np.abs(amp) ** 2
-    )
-
-
-def evolve_grid(spectrum: Spectrum, k0: int, T: float, dtau: float):
-    """States on the uniform grid tau_i = i * dtau, i = 0..floor(T/dtau)."""
-    taus = tau_grid(T, dtau)
-    amps = amplitude_grid(spectrum, k0, taus)
-    probs = np.abs(amps) ** 2
-    return [
-        TransferState(
-            tau=float(t), k0=k0, amplitudes=amps[:, i], probabilities=probs[:, i]
-        )
-        for i, t in enumerate(taus)
-    ]
+    """State of the excitation at a single time tau, which must be finite."""
+    tau = float(tau)
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau!r}")
+    amp = amplitude_grid(spectrum, k0, np.array([tau]))[:, 0]
+    return TransferState(tau=tau, k0=k0, amplitudes=amp, probabilities=np.abs(amp) ** 2)
 
 
 def density_element(state: TransferState, i: int, j: int) -> complex:

@@ -55,31 +55,43 @@ def diagonalize(D: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=lam, eigenvectors=u)
 
 
-def analytic_spectrum(c: CouplingMatrix) -> Spectrum:
-    """Closed-form spectrum of D for the pair, the rectangle and the box.
+def _sign_spectrum(row: np.ndarray) -> Spectrum:
+    """Spectrum of D for the pair, the rectangle and the box from its first row.
 
     For these clusters (N = 2, 4 or 8 nodes) every eigenvector of D is a
     sign pattern of sign_basis, whatever the couplings.  Row 1 of
     D u = lam u then gives each eigenvalue: with A_11 = 2 sum_k d_1k and
-    u_1j > 0, lam_j = sum_k d_1k (2 + u_kj / u_1j).
+    u_1j > 0, lam_j = sum_k d_1k (2 + u_kj / u_1j).  row is
+    (d_11 = 0, d_12, ..., d_1N); nothing checks that the rest of D has the
+    symmetry this needs.
+    """
+    u = _SIGN_VECTORS[len(row)]
+    lam = row @ (2.0 + u / u[0])
+    order = np.argsort(lam, kind="stable")
+    return Spectrum(eigenvalues=lam[order], eigenvectors=u[:, order])
 
-    The couplings must have the symmetry of layout_chain2,
-    layout_rectangle or layout_parallelepiped, with nodes numbered as
-    there.  ValueError is raised when they lack it, judged by the residual
+
+def analytic_spectrum(c: CouplingMatrix) -> Spectrum:
+    """Closed-form spectrum of D for the pair, the rectangle and the box.
+
+    The eigenvectors are the sign patterns of sign_basis and the
+    eigenvalues follow from the first coupling row (_sign_spectrum).  The
+    couplings must have the symmetry of layout_chain2, layout_rectangle or
+    layout_parallelepiped, with nodes numbered as there.  ValueError is
+    raised when they lack it, judged by the residual
     max|D U - U diag(lam)| exceeding 1e-12 max|D|.
     """
-    u = _SIGN_VECTORS.get(c.n_nodes)
-    if u is None:
+    if c.n_nodes not in _SIGN_VECTORS:
         raise ValueError(f"analytic spectrum needs 2, 4 or 8 nodes, got {c.n_nodes}")
-    lam = c.d[0] @ (2.0 + u / u[0])
+    spec = _sign_spectrum(c.d[0])
+    u, lam = spec.eigenvectors, spec.eigenvalues
     D = build_D(c)
     residual, scale = np.abs(D @ u - u * lam).max(), np.abs(D).max()
     if residual > 1e-12 * scale:
         raise ValueError(
             f"couplings lack the sign-basis symmetry: residual {residual:.3g}, max|D| {scale:.3g}"
         )
-    order = np.argsort(lam, kind="stable")
-    return Spectrum(eigenvalues=lam[order], eigenvectors=u[:, order])
+    return spec
 
 
 def sign_basis(s: int) -> np.ndarray:
@@ -100,5 +112,5 @@ def sign_basis(s: int) -> np.ndarray:
     return basis
 
 
-# Eigenvectors of analytic_spectrum by node count, one per column.
+# Eigenvectors of _sign_spectrum by node count, one per column.
 _SIGN_VECTORS = {2**s: sign_basis(s).T for s in (1, 2, 3)}

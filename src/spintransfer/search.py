@@ -10,9 +10,11 @@ window (the time by which every node has been reached with probability
 at least P0).
 
 All of them evaluate P(tau) through dynamics.sign_probability_grid from
-the closed-form first coupling rows of coupling_rows, so no layout,
-coupling matrix or eigensolver is built per point; System.spectrum()
-keeps the numeric route.
+the closed-form first coupling rows of coupling_rows, and
+System.spectrum() takes the sign basis with the eigenvalues of the same
+row, so no layout, coupling matrix or eigensolver is built here.
+System.layout() stays the reference geometry that verify and the tests
+diagonalize numerically.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .dynamics import (
     _check_node,
     _sign_curvature,
     _sign_rounding,
-    _whole_steps,
+    _uniform,
     sign_probability_grid,
     tau_grid,
 )
@@ -36,13 +38,12 @@ from .entanglement import negativity_grid
 from .geometry import (
     FIELD_ALONG_B,
     FIELD_PERPENDICULAR,
-    coupling_matrix,
     delta_to_b,
     layout_chain2,
     layout_parallelepiped,
     layout_rectangle,
 )
-from .hamiltonian import Spectrum, build_D, diagonalize
+from .hamiltonian import Spectrum, _sign_spectrum
 
 __all__ = [
     "DISPLAY_MARGIN",
@@ -172,21 +173,33 @@ class System:
         return KINDS[self.kind][0]
 
     def layout(self):
+        """The node layout, the reference geometry behind coupling_rows."""
         if self.kind == "chain2":
             return layout_chain2()
         if self.kind == "box":
             return layout_parallelepiped(delta_to_b(self.delta1), delta_to_b(self.delta2))
         return layout_rectangle(delta_to_b(self.delta), self.kind)
 
+    def _row(self) -> np.ndarray:
+        """The closed-form first coupling row, shape (1, N)."""
+        return coupling_rows(self.kind, [[getattr(self, name) for name in KINDS[self.kind][1]]])
+
     def spectrum(self) -> Spectrum:
-        """Numeric spectrum of D (eigh) from the layout's coupling matrix."""
-        return diagonalize(build_D(coupling_matrix(self.layout())))
+        """Spectrum of D: the sign basis, with eigenvalues from the
+        closed-form coupling row (no layout and no eigensolver).  It agrees
+        with the numeric eigh of the layout's coupling matrix to 1e-12 of
+        max|D|, eigenvalues compared sorted."""
+        return _sign_spectrum(self._row()[0])
 
     def probability_grid(self, taus: np.ndarray) -> np.ndarray:
         """P_{k0 m}(tau_i) as an (N, len(taus)) array, from the closed-form
-        coupling row through dynamics.sign_probability_grid."""
-        params = [[getattr(self, name) for name in KINDS[self.kind][1]]]
-        return sign_probability_grid(coupling_rows(self.kind, params), self.k0, taus)[0]
+        coupling row through dynamics.sign_probability_grid.  Every tau
+        must be finite."""
+        taus = np.asarray(taus, dtype=float)
+        finite = np.isfinite(taus)
+        if not finite.all():
+            raise ValueError(f"taus must be finite, got {float(taus[~finite][0])!r}")
+        return sign_probability_grid(self._row(), self.k0, taus)[0]
 
 
 @dataclass(frozen=True)
@@ -227,7 +240,8 @@ def _check_finite(**values) -> None:
 
 
 def _uniform_grid(bounds, step: float, strict: bool) -> np.ndarray:
-    """lo + i * step for i = 0..floor((hi - lo) / step), clipped to hi."""
+    """The delta grid lo + i * step of dynamics._uniform, after checking
+    the range and the step."""
     lo, hi, step = float(bounds[0]), float(bounds[1]), float(step)
     _check_finite(range=(lo, hi), step=step)
     if step <= 0:
@@ -236,7 +250,7 @@ def _uniform_grid(bounds, step: float, strict: bool) -> np.ndarray:
         raise ValueError(f"degenerate range [{lo}, {hi}]")
     if lo <= 0:
         raise ValueError(f"coupling parameters must be positive, got a range starting at {lo!r}")
-    return np.minimum(lo + step * np.arange(_whole_steps(hi - lo, step) + 1), hi)
+    return _uniform(lo, hi, step)
 
 
 # Probability grids of (..., N, K): each objective reduces the last two axes.

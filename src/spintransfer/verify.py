@@ -4,7 +4,10 @@ Each suite compares two routes to the same quantity: the spectral
 evolution against the analytic probability formulas, the concurrence
 and negativity closed forms against their brute-force density-matrix
 oracles, and the sign-basis eigensystem against the numeric solver.
-Randomized draws use a fixed seed so runs are reproducible.
+The closed-form and spectra suites diagonalize real layouts with eigh,
+so every analytic formula is checked against an independent route; the
+oracle suites evolve System.spectrum(), since there the oracle is the
+reference.  Randomized draws use a fixed seed so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
         dev = max(dev, float(np.abs(probs - np.stack(expected)).max()))
 
     taus = tau_grid(4.0 * np.pi, 0.01)
-    compare(System("chain2").spectrum(), 1, taus, closedforms.two_node_P(taus))
+    c = coupling_matrix(System("chain2").layout())
+    compare(diagonalize(build_D(c)), 1, taus, closedforms.two_node_P(taus))
 
     taus = tau_grid(30.0, 0.01)
     for _ in range(draws):
@@ -86,7 +90,8 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
     for kind, delta in (("rect-perp", 1.0), ("rect-along", 0.5)):
         c = coupling_matrix(System(kind, delta=delta).layout())
         compare(diagonalize(build_D(c)), 1, taus, closedforms.rect_degenerate_P(taus, c.d[0, 2]))
-    compare(System("box", delta1=1.0, delta2=1.0).spectrum(), 1, taus, closedforms.cube_P(taus))
+    c = coupling_matrix(System("box", delta1=1.0, delta2=1.0).layout())
+    compare(diagonalize(build_D(c)), 1, taus, closedforms.cube_P(taus))
 
     return _result("closed-forms", dev, 1e-10)
 

@@ -1,16 +1,27 @@
-"""Test-wide conservation audit.
+"""Test-wide conservation audit and the numeric reference spectrum.
 
-Every TransferState produced through evolve or evolve_grid anywhere in
-the suite gets its total probability logged; the acceptance test for
-probability conservation asserts over the accumulated log.  The wrap
-happens at conftest import, before any test module binds the names.
+Every TransferState produced through evolve anywhere in the suite gets
+its total probability logged; the acceptance test for probability
+conservation asserts over the accumulated log.  The wrap happens at
+conftest import, before any test module binds the name.
+
+eigh_spectrum is the independent route that System.spectrum() and the
+sign-basis kernel are checked against: the numeric eigh of the layout's
+coupling matrix.
 """
 
 import spintransfer
 import spintransfer.dynamics as dynamics
 import spintransfer.verify as verify
+from spintransfer.geometry import coupling_matrix
+from spintransfer.hamiltonian import build_D, diagonalize
 
 CONSERVATION_LOG = []
+
+
+def eigh_spectrum(system):
+    """Numeric spectrum of D (eigh) from the system's layout."""
+    return diagonalize(build_D(coupling_matrix(system.layout())))
 
 
 def _audit(state):
@@ -19,20 +30,13 @@ def _audit(state):
 
 
 _evolve = dynamics.evolve
-_evolve_grid = dynamics.evolve_grid
 
 
 def _audited_evolve(spectrum, k0, tau):
     return _audit(_evolve(spectrum, k0, tau))
 
 
-def _audited_evolve_grid(spectrum, k0, T, dtau):
-    return [_audit(s) for s in _evolve_grid(spectrum, k0, T, dtau)]
-
-
 # Rebind every module-level alias that exists at this point.
 dynamics.evolve = _audited_evolve
-dynamics.evolve_grid = _audited_evolve_grid
 spintransfer.evolve = _audited_evolve
-spintransfer.evolve_grid = _audited_evolve_grid
 verify.evolve = _audited_evolve

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import CONSERVATION_LOG
-from spintransfer.dynamics import evolve_grid, probability_grid, tau_grid
+from spintransfer.dynamics import evolve, probability_grid, tau_grid
 from spintransfer.entanglement import Bipartition, negativity
 from spintransfer.geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR
 from spintransfer.search import System, fp_value, hpst_times, sweep1d
@@ -19,7 +19,7 @@ from spintransfer.verify import suite_closed_forms, suite_concurrence, suite_neg
 
 def test_criterion_01_two_node_closed_forms_pointwise():
     spec = System("chain2").spectrum()
-    states = evolve_grid(spec, 1, 4.0 * np.pi, 0.01)
+    states = [evolve(spec, 1, tau) for tau in tau_grid(4.0 * np.pi, 0.01)]
     part = Bipartition((1,), (2,))
     for state in states:
         tau = state.tau
@@ -123,7 +123,8 @@ def test_criterion_09_probability_conservation():
         System("box", delta1=1.0, delta2=1.0, k0=7),
     ]
     for system in batch:
-        for state in evolve_grid(system.spectrum(), system.k0, 20.0, 0.05):
+        spec = system.spectrum()
+        for state in (evolve(spec, system.k0, tau) for tau in tau_grid(20.0, 0.05)):
             assert abs(state.probabilities.sum() - 1.0) < 1e-10
 
 

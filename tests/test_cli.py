@@ -10,8 +10,10 @@ import pytest
 
 import spintransfer
 from spintransfer.cli import build_parser, main
-from spintransfer.entanglement import Bipartition, negativity_grid
-from spintransfer.search import System
+from spintransfer.dynamics import evolve
+from spintransfer.entanglement import Bipartition, concurrence, negativity, negativity_grid
+from spintransfer.geometry import NodeLayout
+from spintransfer.search import System, hpst_times
 from spintransfer.verify import SuiteResult
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -446,6 +448,33 @@ def test_consecutive_main_calls_share_no_state(tmp_path, capsys):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "again.csv").read_bytes() == fresh.read_bytes()
+
+
+def test_query_path_builds_no_layout_and_no_eigensolver(tmp_path, capsys, monkeypatch):
+    # spectra, peaks, snapshots, entanglement and the CLI exports all run
+    # from the closed-form coupling rows
+    def forbidden(*args, **kwargs):
+        raise AssertionError("layout or eigensolver on the query path")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(NodeLayout, "__post_init__", forbidden)
+    systems = [
+        System("chain2"),
+        System("rect-perp", delta=1.0, k0=2),
+        System("rect-along", delta=4.3),
+        System("box", delta1=9.0, delta2=26.2, k0=3),
+    ]
+    for system in systems:
+        spec = system.spectrum()
+        hpst_times(system, 3.5, 0.01)
+        state = evolve(spec, system.k0, 2.9)
+        concurrence(state, 1, 2)
+        negativity(state, Bipartition((1,), tuple(range(2, system.n_nodes + 1))))
+    box = ["--system", "box", "--delta1", "9", "--delta2", "26.2", "--T", "1"]
+    assert main(["simulate", *box, "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["entangle", *box, "--out", str(tmp_path / "e.csv"), "--partition", "15_48"]) == 0
+    assert main(["peaks", *box]) == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import eigh_spectrum
 from spintransfer.dynamics import (
     TransferState,
     _sign_curvature,
     _sign_rounding,
     density_element,
     evolve,
-    evolve_grid,
     fidelity,
     probability_grid,
     sign_probability_grid,
@@ -105,7 +105,7 @@ def test_identity_at_tau_zero():
 
 def test_two_node_closed_form_pointwise():
     spec = System("chain2").spectrum()
-    for state in evolve_grid(spec, 1, 4.0 * np.pi, 0.01):
+    for state in (evolve(spec, 1, tau) for tau in tau_grid(4.0 * np.pi, 0.01)):
         assert state.probabilities[0] == pytest.approx(np.cos(state.tau / 2.0) ** 2, abs=1e-12)
         assert state.probabilities[1] == pytest.approx(np.sin(state.tau / 2.0) ** 2, abs=1e-12)
 
@@ -113,11 +113,6 @@ def test_two_node_closed_form_pointwise():
 def test_two_node_complete_transfer_at_pi():
     state = evolve(System("chain2").spectrum(), 1, np.pi)
     assert state.probabilities[1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_evolve_grid_count():
-    states = evolve_grid(System("chain2").spectrum(), 1, 10.0, 0.01)
-    assert len(states) == 1001
 
 
 def test_evolve_rejects_bad_source():
@@ -128,6 +123,13 @@ def test_evolve_rejects_bad_source():
         evolve(spec, 3, 1.0)
     with pytest.raises(ValueError, match="node index 2.5 must be an integer"):
         probability_grid(spec, 2.5, np.zeros(1))
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+def test_evolve_rejects_non_finite_tau(tau):
+    # refused before any phase is taken, so no NaN probabilities come back
+    with pytest.raises(ValueError, match=f"tau must be finite, got {tau!r}"):
+        evolve(System("rect-along", delta=4.3).spectrum(), 1, tau)
 
 
 def test_unitarity_over_random_draws():
@@ -150,30 +152,36 @@ def test_amplitude_symmetry_under_node_swap(delta, tau):
         assert fwd == pytest.approx(back, abs=1e-12)
 
 
+def _assert_basis_invariant(sys, tau_values):
+    # the numeric eigh, analytic_spectrum of the layout and System.spectrum()
+    # (the closed-form row) disagree on vector signs and degenerate
+    # rotations, never on probabilities
+    numeric = eigh_spectrum(sys)
+    others = (analytic_spectrum(coupling_matrix(sys.layout())), sys.spectrum())
+    for tau in tau_values:
+        expected = evolve(numeric, sys.k0, tau).probabilities
+        for spec in others:
+            assert np.allclose(evolve(spec, sys.k0, tau).probabilities, expected, atol=1e-10)
+
+
 @settings(max_examples=60, deadline=None)
-@given(delta=deltas, tau=taus)
-def test_probabilities_are_basis_invariant(delta, tau):
-    # numeric and analytic eigensystems disagree on vector signs and
-    # degenerate rotations, never on probabilities
-    sys = System("rect-perp", delta=delta)
-    c = coupling_matrix(sys.layout())
-    numeric = evolve(sys.spectrum(), 1, tau)
-    analytic = evolve(analytic_spectrum(c), 1, tau)
-    assert np.allclose(numeric.probabilities, analytic.probabilities, atol=1e-10)
+@given(kind=st.sampled_from(["rect-perp", "rect-along"]), delta=deltas, tau=taus)
+def test_probabilities_are_basis_invariant(kind, delta, tau):
+    _assert_basis_invariant(System(kind, delta=delta), [tau])
 
 
 def test_probabilities_basis_invariant_at_degeneracy():
-    sys = System("rect-perp", delta=1.0)
-    c = coupling_matrix(sys.layout())
-    for tau in np.linspace(0.0, 20.0, 101):
-        numeric = evolve(sys.spectrum(), 1, tau)
-        analytic = evolve(analytic_spectrum(c), 1, tau)
-        assert np.allclose(numeric.probabilities, analytic.probabilities, atol=1e-10)
+    for sys in (
+        System("rect-perp", delta=1.0),
+        System("rect-along", delta=0.5, k0=2),
+        System("box", delta1=1.0, delta2=1.0, k0=7),
+    ):
+        _assert_basis_invariant(sys, np.linspace(0.0, 20.0, 101))
 
 
 def test_sign_kernel_matches_numeric_spectrum():
     # System.probability_grid (closed-form row, real kernel) against the
-    # eigh route
+    # numeric eigh of the layout
     rng = np.random.default_rng(11)
     grid = tau_grid(10.0, 0.01)
     for _ in range(60):
@@ -181,7 +189,7 @@ def test_sign_kernel_matches_numeric_spectrum():
         n_nodes, names = KINDS[kind]
         deltas = {name: float(rng.uniform(0.5, 30.0)) for name in names}
         system = System(kind, **deltas, k0=int(rng.integers(1, n_nodes + 1)))
-        numeric = probability_grid(system.spectrum(), system.k0, grid)
+        numeric = probability_grid(eigh_spectrum(system), system.k0, grid)
         assert np.abs(system.probability_grid(grid) - numeric).max() <= 1e-12
 
 

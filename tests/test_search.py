@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spintransfer.search as search
-from spintransfer.dynamics import tau_grid
+from conftest import eigh_spectrum
+from spintransfer.dynamics import evolve, tau_grid
 from spintransfer.entanglement import negativity_grid
 from spintransfer.geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR, coupling_matrix
+from spintransfer.hamiltonian import build_D
 from spintransfer.search import (
     DISPLAY_MARGIN,
     KINDS,
@@ -103,6 +105,45 @@ def test_coupling_rows_match_coupling_matrix():
         for row, values in zip(rows, params):
             d = coupling_matrix(System(kind, **dict(zip(names, values))).layout()).d[0]
             assert np.abs(row - d).max() <= 1e-15 * np.abs(d).max()
+
+
+def test_spectrum_matches_eigh_on_every_kind():
+    # System.spectrum() (sign basis, closed-form row) against the numeric
+    # eigh of the layout: random systems of each kind, then the degenerate
+    # rectangles and the cube
+    rng = np.random.default_rng(19)
+    times = np.concatenate([[0.0], rng.uniform(0.0, 40.0, size=20)])
+    systems = [
+        System(kind, **{name: float(rng.uniform(0.1, 30.0)) for name in names}, k0=int(rng.integers(1, n + 1)))
+        for kind, (n, names) in KINDS.items()
+        for _ in range(25)
+    ]
+    systems += [
+        System("rect-perp", delta=1.0),
+        System("rect-along", delta=0.5, k0=2),
+        System("box", delta1=1.0, delta2=1.0, k0=7),
+    ]
+    for system in systems:
+        D = build_D(coupling_matrix(system.layout()))
+        scale = np.abs(D).max()
+        spec, numeric = system.spectrum(), eigh_spectrum(system)
+        lam, u = spec.eigenvalues, spec.eigenvectors
+        assert np.all(np.diff(lam) >= 0), system
+        assert np.abs(lam - numeric.eigenvalues).max() <= 1e-12 * scale, system
+        assert np.abs(u @ np.diag(lam) @ u.T - D).max() <= 1e-12 * scale, system
+        for tau in times:
+            got = evolve(spec, system.k0, tau).probabilities
+            expected = evolve(numeric, system.k0, tau).probabilities
+            assert np.abs(got - expected).max() <= 1e-12, (system, tau)
+
+
+def test_spectrum_arrays_are_not_shared():
+    # each call returns its own arrays, so a caller's edit stays local
+    system = System("rect-perp", delta=2.0)
+    first = system.spectrum()
+    before = first.eigenvectors.copy()
+    first.eigenvectors[:] = 7.0
+    assert np.array_equal(system.spectrum().eigenvectors, before)
 
 
 def test_fp_frozen_rect_along():
@@ -568,6 +609,14 @@ def test_hpst_times_rejects_non_finite_threshold(p0):
         hpst_times(System("rect-along", delta=4.3), 3.5, 0.01, p0=p0)
     with pytest.raises(ValueError, match="nan"):
         hpst_times(System("rect-along", delta=4.3), np.nan, 0.01)
+
+
+@pytest.mark.parametrize("taus", [[0.0, np.inf], [np.nan], [1.0, -np.inf, 2.0]])
+def test_probability_grid_rejects_non_finite_taus(taus):
+    # refused before any phase is taken, so no NaN probabilities come back
+    bad = next(t for t in taus if not np.isfinite(t))
+    with pytest.raises(ValueError, match=f"taus must be finite, got {bad!r}"):
+        System("box", delta1=2.0, delta2=3.0).probability_grid(taus)
 
 
 def test_grid_refinement_monotonicity_spot():

@@ -48,7 +48,6 @@ from .geometry import (
 )
 from .hamiltonian import (
     Spectrum,
-    analytic_spectrum,
     build_D,
     diagonalize,
     sign_basis,
@@ -83,7 +82,6 @@ __all__ = [
     "System",
     "TransferState",
     "amplitude_grid",
-    "analytic_spectrum",
     "b_to_delta",
     "build_D",
     "concurrence",

@@ -29,10 +29,6 @@ __all__ = ["main"]
 _PARAMS = ("delta", "delta1", "delta2")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _system_from(args) -> System:
     return System(
         args.system,
@@ -43,11 +39,12 @@ def _system_from(args) -> System:
     )
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, columns) -> None:
+    """The header and one %.17g line per row of the stacked columns, in one write."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(line % tuple(row) for row in table.tolist()))
 
 
 def cmd_simulate(args) -> int:
@@ -55,7 +52,7 @@ def cmd_simulate(args) -> int:
     taus = tau_grid(args.T, args.dtau)
     probs = system.probability_grid(taus)
     header = ["tau"] + [f"P_{m}" for m in range(1, system.n_nodes + 1)]
-    _write_csv(args.out, header, zip(taus, *probs))
+    _write_csv(args.out, header, [taus, *probs])
     return 0
 
 
@@ -64,8 +61,7 @@ def _parse_partition(text: str, n_nodes: int) -> Bipartition:
     if len(halves) != 2 or not all(h.isdigit() for h in halves):
         raise ValueError(f"partition {text!r} is not of the form '15_48'")
     part = Bipartition(tuple(int(c) for c in halves[0]), tuple(int(c) for c in halves[1]))
-    if max(part.a + part.b) > n_nodes:
-        raise ValueError(f"partition {text!r} names a node beyond {n_nodes}")
+    part._check_nodes(n_nodes)
     return part
 
 
@@ -78,7 +74,7 @@ def cmd_entangle(args) -> int:
     probs = system.probability_grid(taus)
     columns = [negativity_grid(*part.weights(probs)) for part in parts]
     header = ["tau"] + [f"N_{p.label()}" for p in parts]
-    _write_csv(args.out, header, zip(taus, *columns))
+    _write_csv(args.out, header, [taus, *columns])
     return 0
 
 
@@ -103,7 +99,7 @@ def cmd_sweep(args) -> int:
         )
     columns = [result.grid, result.fp] + ([result.fn] if args.fn else [])
     header = [*params, "FP"] + (["FN"] if args.fn else [])
-    _write_csv(args.out, header, np.column_stack(columns))
+    _write_csv(args.out, header, columns)
     if len(params) > 1:
         print(f"HPST points: {int(result.hpst.sum())} of {result.hpst.size}")
     elif result.intervals:

@@ -57,6 +57,11 @@ class Bipartition:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    def _check_nodes(self, n_nodes: int) -> None:
+        """Require every node of both parts to lie in 1..n_nodes."""
+        if max(self.a + self.b) > n_nodes:
+            raise ValueError(f"partition {self.label()!r} names a node beyond {n_nodes}")
+
     def weights(self, probs: np.ndarray):
         """(S_A, S_B): probs summed over the nodes of each part, along axis 0."""
         return tuple(probs[[k - 1 for k in part]].sum(axis=0) for part in (self.a, self.b))
@@ -134,8 +139,7 @@ def negativity_grid(s_a, s_b):
 
 def negativity(state: TransferState, p: Bipartition) -> float:
     """Double negativity between the parts of p, from the closed form."""
-    for k in p.a + p.b:
-        _check_node(k, state.n_nodes)
+    p._check_nodes(state.n_nodes)
     return float(negativity_grid(*p.weights(state.probabilities)))
 
 
@@ -147,10 +151,8 @@ def negativity_oracle(state: TransferState, p: Bipartition) -> float:
     the no-excitation state -- transposes the A spins, and returns twice
     the absolute sum of the negative eigenvalues.
     """
-    n = state.n_nodes
+    p._check_nodes(state.n_nodes)
     nodes = p.a + p.b
-    for k in nodes:
-        _check_node(k, n)
     m = len(nodes)
     if m > _MAX_ORACLE_NODES:
         raise ValueError(f"bipartition spans {m} nodes, oracle cap is {_MAX_ORACLE_NODES}")

@@ -6,6 +6,12 @@ d_ij off the diagonal and A_nn = 2 sum_{i != n} d_in on it, and
 Gamma = sum_{i<j} d_ij.  The Gamma shift is a multiple of the identity,
 contributes a global phase only, and is dropped: build_D returns D as a
 plain array.
+
+diagonalize is the numeric reference spectrum (eigh).  For the pair, the
+rectangle and the box, _sign_spectrum gives the same eigensystem in
+closed form from the first coupling row; it is the one eigenvalue
+formula, behind search.System.spectrum(), and verify.suite_spectra
+checks it against diagonalize.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ __all__ = [
     "Spectrum",
     "build_D",
     "diagonalize",
-    "analytic_spectrum",
     "sign_basis",
 ]
 
@@ -63,35 +68,13 @@ def _sign_spectrum(row: np.ndarray) -> Spectrum:
     D u = lam u then gives each eigenvalue: with A_11 = 2 sum_k d_1k and
     u_1j > 0, lam_j = sum_k d_1k (2 + u_kj / u_1j).  row is
     (d_11 = 0, d_12, ..., d_1N); nothing checks that the rest of D has the
-    symmetry this needs.
+    symmetry this needs, so it takes the closed-form rows of
+    search.coupling_rows, whose layouts have it.
     """
     u = _SIGN_VECTORS[len(row)]
     lam = row @ (2.0 + u / u[0])
     order = np.argsort(lam, kind="stable")
     return Spectrum(eigenvalues=lam[order], eigenvectors=u[:, order])
-
-
-def analytic_spectrum(c: CouplingMatrix) -> Spectrum:
-    """Closed-form spectrum of D for the pair, the rectangle and the box.
-
-    The eigenvectors are the sign patterns of sign_basis and the
-    eigenvalues follow from the first coupling row (_sign_spectrum).  The
-    couplings must have the symmetry of layout_chain2, layout_rectangle or
-    layout_parallelepiped, with nodes numbered as there.  ValueError is
-    raised when they lack it, judged by the residual
-    max|D U - U diag(lam)| exceeding 1e-12 max|D|.
-    """
-    if c.n_nodes not in _SIGN_VECTORS:
-        raise ValueError(f"analytic spectrum needs 2, 4 or 8 nodes, got {c.n_nodes}")
-    spec = _sign_spectrum(c.d[0])
-    u, lam = spec.eigenvectors, spec.eigenvalues
-    D = build_D(c)
-    residual, scale = np.abs(D @ u - u * lam).max(), np.abs(D).max()
-    if residual > 1e-12 * scale:
-        raise ValueError(
-            f"couplings lack the sign-basis symmetry: residual {residual:.3g}, max|D| {scale:.3g}"
-        )
-    return spec
 
 
 def sign_basis(s: int) -> np.ndarray:
@@ -100,7 +83,7 @@ def sign_basis(s: int) -> np.ndarray:
     Built by the doubling rule B_2M = ((1,1) x B_M, (1,-1) x B_M) / sqrt 2
     from B_1 = {(1)}; every component has magnitude 2**(-s/2).  For
     s = 1, 2 and 3 the rows are the eigenvectors of the pair, rectangle
-    and parallelepiped, on which analytic_spectrum is built.
+    and parallelepiped, on which _sign_spectrum is built.
     """
     if not isinstance(s, (int, np.integer)) or not 1 <= s <= 10:
         raise ValueError("s must be an integer in [1, 10]")

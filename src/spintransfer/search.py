@@ -103,10 +103,18 @@ def coupling_rows(kind: str, params) -> np.ndarray:
     params has shape (G, P): one row per cluster holding the kind's
     parameters (KINDS) in order, so (G, 0) for 'chain2'.  The closed forms
     equal coupling_matrix(System(kind, ...).layout()).d[0] up to roundoff
-    and are elementwise, so a row does not depend on the others.
+    and are elementwise, so a row does not depend on the others.  An
+    unknown kind or a params array of another shape raises ValueError.
     """
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown system kind {kind!r}")
+    n_nodes, names = KINDS[kind]
     params = np.asarray(params, dtype=float)
-    rows = np.zeros((params.shape[0], KINDS[kind][0]))
+    if params.ndim != 2 or params.shape[1] != len(names):
+        raise ValueError(
+            f"{kind} params must have shape (G, {len(names)}) for {names}, got {params.shape}"
+        )
+    rows = np.zeros((params.shape[0], n_nodes))
     for g, column in enumerate(_ROW_FORMS[kind](*params.T), start=1):
         rows[:, g] = column
     return rows
@@ -241,7 +249,9 @@ def _check_finite(**values) -> None:
 
 def _uniform_grid(bounds, step: float, strict: bool) -> np.ndarray:
     """The delta grid lo + i * step of dynamics._uniform, after checking
-    the range and the step."""
+    the range (exactly two bounds) and the step."""
+    if np.shape(bounds) != (2,):
+        raise ValueError(f"a range must be two bounds (lo, hi), got {bounds!r}")
     lo, hi, step = float(bounds[0]), float(bounds[1]), float(step)
     _check_finite(range=(lo, hi), step=step)
     if step <= 0:
@@ -452,13 +462,14 @@ def sweep2d(
 ) -> SweepResult:
     """Scan the parallelepiped fp objective over the (delta1, delta2) grid.
 
-    steps is one shared grid step or a (step1, step2) pair.  Either
-    range may be a single point (lo == hi).
+    steps is one shared grid step (a number or a one-element sequence)
+    or a (step1, step2) pair.  Either range may be a single point (lo == hi).
     """
-    try:
-        step1, step2 = steps
-    except TypeError:
-        step1 = step2 = steps
+    if np.ndim(steps) == 0:
+        steps = (steps,)
+    if np.shape(steps) not in ((1,), (2,)):
+        raise ValueError(f"steps must be one step or a (step1, step2) pair, got {steps!r}")
+    step1, step2 = steps[0], steps[-1]
     g1 = _uniform_grid(delta1_range, step1, strict=False)
     g2 = _uniform_grid(delta2_range, step2, strict=False)
     if g1.size * g2.size > _MAX_GRID_POINTS:

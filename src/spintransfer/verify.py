@@ -3,11 +3,13 @@
 Each suite compares two routes to the same quantity: the spectral
 evolution against the analytic probability formulas, the concurrence
 and negativity closed forms against their brute-force density-matrix
-oracles, and the sign-basis eigensystem against the numeric solver.
-The closed-form and spectra suites diagonalize real layouts with eigh,
-so every analytic formula is checked against an independent route; the
-oracle suites evolve System.spectrum(), since there the oracle is the
-reference.  Randomized draws use a fixed seed so runs are reproducible.
+oracles, and System.spectrum() (the sign basis, with eigenvalues from
+the closed-form coupling row) against the numeric solver.  The
+closed-form and spectra suites diagonalize real layouts with eigh, so
+every analytic formula, the closed-form rows included, is checked
+against an independent route; the oracle suites evolve
+System.spectrum(), since there the oracle is the reference.  Randomized
+draws use a fixed seed so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from .entanglement import (
 from .geometry import (
     FIELD_ALONG_B,
     FIELD_PERPENDICULAR,
+    b_to_delta,
     coupling_matrix,
-    layout_parallelepiped,
     layout_rectangle,
 )
-from .hamiltonian import analytic_spectrum, build_D, diagonalize
+from .hamiltonian import build_D, diagonalize
 from .search import KINDS, System
 
 __all__ = [
@@ -125,32 +127,33 @@ def suite_negativity(draws: int = 350) -> SuiteResult:
 
 
 def suite_spectra(draws: int = 200) -> SuiteResult:
-    """The sign-basis eigensystem vs the numeric solver.
+    """System.spectrum() vs the numeric solver on the system's layout.
 
-    Eigenvalues are compared sorted; eigenvectors through the
+    Each drawn side b becomes a System through b_to_delta, so the
+    closed-form coupling rows are checked along with the eigenvalue
+    formula.  Eigenvalues are compared sorted; eigenvectors through the
     reconstruction U diag(lam) U^T, which both routes must return to
-    the coupling matrix even across degeneracies.
+    the layout's D even across degeneracies.
     """
     rng = np.random.default_rng(_SEED + 3)
     dev = 0.0
 
-    def compare(c):
+    def compare(system):
         nonlocal dev
-        D = build_D(c)
-        analytic, numeric = analytic_spectrum(c), diagonalize(D)
-        dev = max(dev, float(np.abs(analytic.eigenvalues - numeric.eigenvalues).max()))
-        for spec in (analytic, numeric):
+        D = build_D(coupling_matrix(system.layout()))
+        closed, numeric = system.spectrum(), diagonalize(D)
+        dev = max(dev, float(np.abs(closed.eigenvalues - numeric.eigenvalues).max()))
+        for spec in (closed, numeric):
             u, lam = spec.eigenvectors, spec.eigenvalues
             dev = max(dev, float(np.abs(u @ np.diag(lam) @ u.T - D).max()))
 
     for _ in range(draws):
         mode = FIELD_PERPENDICULAR if rng.random() < 0.5 else FIELD_ALONG_B
-        c = coupling_matrix(layout_rectangle(float(rng.uniform(0.3, 3.0)), mode))
-        compare(c)
+        compare(System(mode, delta=b_to_delta(float(rng.uniform(0.3, 3.0)))))
 
     for _ in range(draws // 2):
-        c = coupling_matrix(layout_parallelepiped(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))))
-        compare(c)
+        b1, b2 = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))
+        compare(System("box", delta1=b_to_delta(b1), delta2=b_to_delta(b2)))
 
     return _result("spectra", dev, 1e-10)
 

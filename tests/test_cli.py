@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spintransfer
-from spintransfer.cli import build_parser, main
+from spintransfer.cli import _write_csv, build_parser, main
 from spintransfer.dynamics import evolve
 from spintransfer.entanglement import Bipartition, concurrence, negativity, negativity_grid
 from spintransfer.geometry import NodeLayout
@@ -57,6 +57,17 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert main(args + [str(a)]) == 0
     assert main(args + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_csv_values_keep_17_significant_digits(tmp_path):
+    # one formatted write per file gives the bytes of format(x, ".17g")
+    # per value, non-finite, signed-zero and subnormal values included
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3])
+    out = tmp_path / "x.csv"
+    _write_csv(str(out), ["a", "b"], [values, values[::-1]])
+    rows = zip(values, values[::-1])
+    expected = "a,b\n" + "".join(",".join(format(float(x), ".17g") for x in r) + "\n" for r in rows)
+    assert out.read_bytes() == expected.encode("ascii")
 
 
 def test_entangle_chain2_matches_sine(tmp_path):
@@ -113,6 +124,17 @@ def test_entangle_rejects_malformed_partition(tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_entangle_names_a_partition_node_beyond_n(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(
+        ["entangle", "--system", "rect-along", "--delta", "2", "--T", "1",
+         "--out", str(out), "--partition", "12_35"]
+    )
+    assert code == 2
+    assert "error: partition '12_35' names a node beyond 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_prints_interval(tmp_path, capsys):

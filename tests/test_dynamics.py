@@ -17,8 +17,7 @@ from spintransfer.dynamics import (
     sign_probability_grid,
     tau_grid,
 )
-from spintransfer.geometry import coupling_matrix
-from spintransfer.hamiltonian import analytic_spectrum, sign_basis
+from spintransfer.hamiltonian import sign_basis
 from spintransfer.search import KINDS, System, coupling_rows
 
 taus = st.floats(min_value=0.0, max_value=60.0, allow_nan=False)
@@ -153,15 +152,13 @@ def test_amplitude_symmetry_under_node_swap(delta, tau):
 
 
 def _assert_basis_invariant(sys, tau_values):
-    # the numeric eigh, analytic_spectrum of the layout and System.spectrum()
-    # (the closed-form row) disagree on vector signs and degenerate
-    # rotations, never on probabilities
-    numeric = eigh_spectrum(sys)
-    others = (analytic_spectrum(coupling_matrix(sys.layout())), sys.spectrum())
+    # the numeric eigh of the layout and System.spectrum() (the closed-form
+    # row) disagree on vector signs and degenerate rotations, never on
+    # probabilities
+    numeric, closed = eigh_spectrum(sys), sys.spectrum()
     for tau in tau_values:
         expected = evolve(numeric, sys.k0, tau).probabilities
-        for spec in others:
-            assert np.allclose(evolve(spec, sys.k0, tau).probabilities, expected, atol=1e-10)
+        assert np.allclose(evolve(closed, sys.k0, tau).probabilities, expected, atol=1e-10)
 
 
 @settings(max_examples=60, deadline=None)

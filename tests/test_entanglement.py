@@ -227,3 +227,12 @@ def test_negativity_rejects_out_of_range_nodes():
     state = _state()
     with pytest.raises(ValueError):
         negativity(state, Bipartition((1,), (9,)))
+
+
+def test_both_negativity_routes_name_a_node_beyond_n():
+    # one Bipartition check against N serves the closed form, the oracle
+    # and the CLI
+    state = _state()
+    for route in (negativity, negativity_oracle):
+        with pytest.raises(ValueError, match="partition '15_49' names a node beyond 8"):
+            route(state, Bipartition((1, 5), (4, 9)))

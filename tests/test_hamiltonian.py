@@ -1,4 +1,5 @@
-"""Single-excitation matrix assembly and the two diagonalization routes."""
+"""Single-excitation matrix assembly and the two diagonalization routes:
+the numeric eigh and System.spectrum() from the closed-form row."""
 
 import numpy as np
 import pytest
@@ -8,19 +9,12 @@ from hypothesis import strategies as st
 from spintransfer.geometry import (
     FIELD_ALONG_B,
     FIELD_PERPENDICULAR,
-    CouplingMatrix,
-    NodeLayout,
+    b_to_delta,
     coupling_matrix,
-    layout_chain2,
-    layout_parallelepiped,
     layout_rectangle,
 )
-from spintransfer.hamiltonian import (
-    analytic_spectrum,
-    build_D,
-    diagonalize,
-    sign_basis,
-)
+from spintransfer.hamiltonian import build_D, diagonalize, sign_basis
+from spintransfer.search import System
 
 sides = st.floats(min_value=0.25, max_value=4.0, allow_nan=False)
 modes = st.sampled_from([FIELD_PERPENDICULAR, FIELD_ALONG_B])
@@ -48,56 +42,44 @@ def test_diagonalize_orders_and_reconstructs():
     assert np.allclose(u @ np.diag(lam) @ u.T, D, atol=1e-12)
 
 
-def _assert_analytic_matches_numeric(c):
-    D = build_D(c)
-    analytic = analytic_spectrum(c)
-    numeric = diagonalize(D)
-    assert np.allclose(analytic.eigenvalues, numeric.eigenvalues, atol=1e-10)
-    u, lam = analytic.eigenvectors, analytic.eigenvalues
+def _assert_spectrum_matches_numeric(system):
+    # System.spectrum() (sign basis, closed-form row) against eigh of the layout
+    D = build_D(coupling_matrix(system.layout()))
+    closed = system.spectrum()
+    assert np.allclose(closed.eigenvalues, diagonalize(D).eigenvalues, atol=1e-10)
+    u, lam = closed.eigenvectors, closed.eigenvalues
     assert np.allclose(u @ np.diag(lam) @ u.T, D, atol=1e-10)
 
 
 @settings(max_examples=150, deadline=None)
 @given(b=sides, mode=modes)
 def test_analytic_rectangle_matches_numeric(b, mode):
-    _assert_analytic_matches_numeric(coupling_matrix(layout_rectangle(b, mode)))
+    _assert_spectrum_matches_numeric(System(mode, delta=b_to_delta(b)))
 
 
 @settings(max_examples=75, deadline=None)
 @given(b1=sides, b2=sides)
 def test_analytic_parallelepiped_matches_numeric(b1, b2):
-    _assert_analytic_matches_numeric(coupling_matrix(layout_parallelepiped(b1, b2)))
+    _assert_spectrum_matches_numeric(System("box", delta1=b_to_delta(b1), delta2=b_to_delta(b2)))
 
 
 def test_analytic_chain2_matches_numeric():
-    _assert_analytic_matches_numeric(coupling_matrix(layout_chain2()))
-
-
-def test_analytic_spectrum_rejects_other_node_counts():
-    d = np.ones((3, 3)) - np.eye(3)
-    with pytest.raises(ValueError, match="2, 4 or 8 nodes, got 3"):
-        analytic_spectrum(CouplingMatrix(d))
-
-
-def test_analytic_spectrum_rejects_couplings_without_sign_symmetry():
-    # four collinear unit-spaced nodes: not an eigensystem of D in the sign basis
-    line = NodeLayout(np.array([[x, 0.0, 0.0] for x in range(4)]), np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError, match="sign-basis symmetry"):
-        analytic_spectrum(coupling_matrix(line))
+    _assert_spectrum_matches_numeric(System("chain2"))
 
 
 def test_analytic_eigenvalues_frozen():
-    # Recorded from the per-geometry closed forms this function replaced.
-    c = coupling_matrix(layout_rectangle(1.3, FIELD_ALONG_B))
+    # Recorded from the per-geometry closed forms that the sign-basis
+    # formula replaced.
+    system = System("rect-along", delta=b_to_delta(1.3))
     assert np.allclose(
-        analytic_spectrum(c).eigenvalues,
+        system.spectrum().eigenvalues,
         [-1.9315346188455864, -0.5119456863046249, -0.33261022886265856, 1.889129923712447],
         rtol=0.0,
         atol=1e-12,
     )
-    c = coupling_matrix(layout_parallelepiped(0.7, 1.2))
+    system = System("box", delta1=b_to_delta(0.7), delta2=b_to_delta(1.2))
     assert np.allclose(
-        analytic_spectrum(c).eigenvalues,
+        system.spectrum().eigenvalues,
         [
             1.1449112195885434, 1.8301424069095251, 2.320889555478338, 3.4363780446163092,
             5.141647248102079, 7.6477983025378675, 7.786680783598685, 11.479810052703943,
@@ -109,9 +91,9 @@ def test_analytic_eigenvalues_frozen():
 
 def test_analytic_rectangle_survives_degeneracy():
     # b=1 collapses two eigenvalues; reconstruction must still hold
-    c = coupling_matrix(layout_rectangle(1.0, FIELD_PERPENDICULAR))
-    D = build_D(c)
-    spec = analytic_spectrum(c)
+    system = System(FIELD_PERPENDICULAR, delta=b_to_delta(1.0))
+    D = build_D(coupling_matrix(system.layout()))
+    spec = system.spectrum()
     u, lam = spec.eigenvectors, spec.eigenvalues
     assert np.allclose(u @ np.diag(lam) @ u.T, D, atol=1e-12)
 
@@ -141,6 +123,5 @@ def test_sign_basis_rejects_out_of_range():
 
 def test_parallelepiped_eigenvectors_are_sign_patterns():
     # all eight eigenvectors of the box have entries +-1/sqrt(8)
-    c = coupling_matrix(layout_parallelepiped(0.7, 1.2))
-    spec = analytic_spectrum(c)
+    spec = System("box", delta1=b_to_delta(0.7), delta2=b_to_delta(1.2)).spectrum()
     assert np.allclose(np.abs(spec.eigenvectors), 1.0 / (2.0 * np.sqrt(2.0)), atol=1e-14)

@@ -1,5 +1,7 @@
 """Arrival peaks, min-max objectives, and the delta sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ import spintransfer.search as search
 from conftest import eigh_spectrum
 from spintransfer.dynamics import evolve, tau_grid
 from spintransfer.entanglement import negativity_grid
-from spintransfer.geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR, coupling_matrix
+from spintransfer.geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR, b_to_delta, coupling_matrix
 from spintransfer.hamiltonian import build_D
 from spintransfer.search import (
     DISPLAY_MARGIN,
@@ -107,10 +109,29 @@ def test_coupling_rows_match_coupling_matrix():
             assert np.abs(row - d).max() <= 1e-15 * np.abs(d).max()
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("tri", [[1.0]], "unknown system kind 'tri'"),
+        (None, [[1.0]], "unknown system kind None"),
+        ("chain2", [[1.0]], "chain2 params must have shape (G, 0) for (), got (1, 1)"),
+        ("rect-along", [[1.0, 2.0]], "rect-along params must have shape (G, 1) for ('delta',), got (1, 2)"),
+        ("rect-perp", [1.0, 2.0], "rect-perp params must have shape (G, 1) for ('delta',), got (2,)"),
+        ("box", [[1.0]], "box params must have shape (G, 2) for ('delta1', 'delta2'), got (1, 1)"),
+    ],
+)
+def test_coupling_rows_rejects_unknown_kind_and_wrong_shape(kind, params, message):
+    # these raised KeyError and TypeError from inside the closed forms
+    with pytest.raises(ValueError, match=re.escape(message)):
+        coupling_rows(kind, params)
+
+
 def test_spectrum_matches_eigh_on_every_kind():
     # System.spectrum() (sign basis, closed-form row) against the numeric
-    # eigh of the layout: random systems of each kind, then the degenerate
-    # rectangles and the cube
+    # eigh of the layout: random systems of each kind (the pair among
+    # them), then the degenerate rectangles (rect-perp at b = 1), the cube
+    # and the box with sides 0.7 and 1.2; every eigenvector is a
+    # +-1/sqrt(N) sign pattern
     rng = np.random.default_rng(19)
     times = np.concatenate([[0.0], rng.uniform(0.0, 40.0, size=20)])
     systems = [
@@ -122,6 +143,7 @@ def test_spectrum_matches_eigh_on_every_kind():
         System("rect-perp", delta=1.0),
         System("rect-along", delta=0.5, k0=2),
         System("box", delta1=1.0, delta2=1.0, k0=7),
+        System("box", delta1=b_to_delta(0.7), delta2=b_to_delta(1.2)),
     ]
     for system in systems:
         D = build_D(coupling_matrix(system.layout()))
@@ -129,6 +151,7 @@ def test_spectrum_matches_eigh_on_every_kind():
         spec, numeric = system.spectrum(), eigh_spectrum(system)
         lam, u = spec.eigenvalues, spec.eigenvectors
         assert np.all(np.diff(lam) >= 0), system
+        assert np.allclose(np.abs(u), 1.0 / np.sqrt(system.n_nodes), rtol=0.0, atol=1e-14), system
         assert np.abs(lam - numeric.eigenvalues).max() <= 1e-12 * scale, system
         assert np.abs(u @ np.diag(lam) @ u.T - D).max() <= 1e-12 * scale, system
         for tau in times:
@@ -430,6 +453,30 @@ def test_sweeps_reject_non_positive_delta(lo):
         sweep2d((lo, 2.0), (1.0, 2.0), 0.1, 1.0, 0.1)
     with pytest.raises(ValueError, match=f"starting at {lo!r}"):
         sweep2d((1.0, 2.0), (lo, 2.0), 0.1, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("bounds", [(4.0, 4.05, 99), (4.0,), 4.0, [[4.0, 4.05]]])
+def test_sweeps_require_exactly_two_bounds(bounds):
+    # a third value was ignored, so (4.0, 4.05, 99) swept 4.00..4.05
+    message = re.escape(f"a range must be two bounds (lo, hi), got {bounds!r}")
+    with pytest.raises(ValueError, match=message):
+        sweep1d(FIELD_PERPENDICULAR, bounds, 0.01, 1.0, 0.1)
+    with pytest.raises(ValueError, match=message):
+        sweep2d((1.0, 2.0), bounds, 0.5, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("steps", [(0.5, 0.5, 0.5), (), [[0.5, 0.5]]])
+def test_sweep2d_requires_one_or_two_steps(steps):
+    message = re.escape(f"steps must be one step or a (step1, step2) pair, got {steps!r}")
+    with pytest.raises(ValueError, match=message):
+        sweep2d((1.0, 2.0), (1.0, 2.0), steps, 1.0, 0.1)
+
+
+def test_sweep2d_one_step_in_a_sequence_is_shared():
+    shared = sweep2d((1.0, 2.0), (1.0, 2.0), 0.5, 1.0, 0.1)
+    for steps in ((0.5,), [0.5], np.array([0.5]), (0.5, 0.5)):
+        res = sweep2d((1.0, 2.0), (1.0, 2.0), steps, 1.0, 0.1)
+        assert np.array_equal(res.grid, shared.grid) and np.array_equal(res.fp, shared.fp)
 
 
 def test_sweep_blocks_are_bounded_and_each_point_is_its_fp_value(monkeypatch):

@@ -1,8 +1,11 @@
-"""The seeded draws behind the randomized verify suites."""
+"""The seeded draws behind the randomized verify suites, and what the
+spectra suite catches."""
 
 import numpy as np
+import pytest
 
-from spintransfer.verify import _random_system
+import spintransfer.search as search
+from spintransfer.verify import _random_system, suite_spectra
 
 # (kind, delta, delta1, delta2, k0) of the first draws from seed 174,
 # recorded when each kind was still drawn by its own branch.
@@ -23,3 +26,19 @@ def test_random_system_draws_frozen():
     for expected in FIRST_DRAWS:
         s = _random_system(rng)
         assert (s.kind, s.delta, s.delta1, s.delta2, s.k0) == expected
+
+
+@pytest.mark.parametrize("kind", ["rect-perp", "rect-along", "box"])
+def test_spectra_suite_fails_on_a_wrong_coupling_row(monkeypatch, kind):
+    # System.spectrum() is built from the closed-form row, so a wrong row
+    # must show against the eigh of the layout
+    right = search._ROW_FORMS[kind]
+
+    def wrong(*params):
+        row = right(*params)
+        return (*row[:-1], -row[-1])  # d_1N with its sign flipped
+
+    monkeypatch.setitem(search._ROW_FORMS, kind, wrong)
+    result = suite_spectra()
+    assert not result.passed
+    assert result.max_deviation > 1e-3

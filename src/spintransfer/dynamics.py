@@ -71,6 +71,16 @@ def _check_node(k, n) -> None:
         raise ValueError(f"node index {k!r} must be an integer in 1..{n}")
 
 
+def _check_finite(**values) -> None:
+    """Require each named value to be a finite real number: not a bool, a
+    string, a sequence or a complex number, and not NaN or infinite."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value!r}")
+
+
 def _uniform(lo: float, hi: float, step: float) -> np.ndarray:
     """lo + i * step for i = 0..floor((hi - lo) / step), each point the
     direct product, not an accumulated sum, and clipped to hi."""
@@ -91,10 +101,12 @@ def tau_grid(T: float, dtau: float) -> np.ndarray:
 
     Each point is the direct product i * dtau, not an accumulated sum, so
     halving dtau yields a grid containing the coarse one exactly; a last
-    point that roundoff puts past T is clipped to T.
+    point that roundoff puts past T is clipped to T.  T and dtau must be
+    finite real numbers.
     """
-    if not 0 < dtau <= T < np.inf:
-        raise ValueError(f"need 0 < dtau <= T < inf, got T={T!r}, dtau={dtau!r}")
+    _check_finite(T=T, dtau=dtau)
+    if not 0 < dtau <= T:
+        raise ValueError(f"need 0 < dtau <= T, got T={T!r}, dtau={dtau!r}")
     return _uniform(0.0, T, dtau)
 
 

@@ -6,7 +6,9 @@ the single-excitation density-matrix elements, S_X the total transfer
 probability carried by part X and sigma the probability left outside
 A u B.  Both come with brute-force oracles: the concurrence via the
 spin-flipped two-qubit reduced density matrix, the negativity via an
-explicit partial transpose of the reduced density matrix on A u B.
+explicit partial transpose of the full reduced density matrix on A u B,
+of which only the non-zero support is diagonalized: at most
+1 + m + m1 m2 of the 2^m states, m1 = |A|, m2 = |B|, m = m1 + m2.
 """
 
 from __future__ import annotations
@@ -67,8 +69,14 @@ class Bipartition:
         return tuple(probs[[k - 1 for k in part]].sum(axis=0) for part in (self.a, self.b))
 
     def label(self) -> str:
-        """Compact rendering like '15_48' for a=(1,5), b=(4,8)."""
-        return "".join(map(str, self.a)) + "_" + "".join(map(str, self.b))
+        """Compact rendering like '15_48' for a=(1,5), b=(4,8).
+
+        When some node is 10 or more, nodes are joined by '-' and the parts
+        by '__', as in '1-12__3', so that no two partitions share a label.
+        """
+        if max(self.a + self.b) < 10:
+            return "".join(map(str, self.a)) + "_" + "".join(map(str, self.b))
+        return "-".join(map(str, self.a)) + "__" + "-".join(map(str, self.b))
 
 
 def sigma(state: TransferState, nodes) -> float:
@@ -146,10 +154,16 @@ def negativity(state: TransferState, p: Bipartition) -> float:
 def negativity_oracle(state: TransferState, p: Bipartition) -> float:
     """Double negativity by explicit partial transposition.
 
-    Constructs the reduced density matrix on A u B -- a pure part from
-    the amplitudes on those nodes plus the traced-out weight sigma on
-    the no-excitation state -- transposes the A spins, and returns twice
-    the absolute sum of the negative eigenvalues.
+    Constructs the full 2^m x 2^m reduced density matrix on A u B (m
+    nodes) -- a pure part from the amplitudes on those nodes plus the
+    traced-out weight sigma on the no-excitation state -- transposes the
+    A spins, and returns twice the absolute sum of the negative
+    eigenvalues.  Only the rows and columns of the partial transpose that
+    are not identically zero are diagonalized: the dropped ones carry
+    exact zero eigenvalues.  The support is read off the matrix itself;
+    for a single excitation it holds at most 1 + m + m1 m2 states (the
+    empty state, the m single excitations and one A-B pair per m1 x m2),
+    25 of 256 for a box.
     """
     p._check_nodes(state.n_nodes)
     nodes = p.a + p.b
@@ -168,5 +182,9 @@ def negativity_oracle(state: TransferState, p: Bipartition) -> float:
     t_rho = rho.reshape((2,) * (2 * m))
     for t in range(m1):
         t_rho = np.swapaxes(t_rho, t, m + t)
-    ev = np.linalg.eigvalsh(t_rho.reshape(dim, dim))
+    t_rho = t_rho.reshape(dim, dim)
+    # A row that is identically zero (and so its column: t_rho is
+    # Hermitian) only adds an exact eigenvalue 0, which the floor ignores.
+    keep = np.flatnonzero(t_rho.any(axis=0))
+    ev = np.linalg.eigvalsh(t_rho[np.ix_(keep, keep)])
     return float(2.0 * abs(ev[ev < _NEGATIVE_FLOOR].sum()))

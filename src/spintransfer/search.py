@@ -19,7 +19,6 @@ diagonalize numerically.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .dynamics import (
     _MAX_GRID_POINTS,
+    _check_finite,
     _check_node,
     _sign_curvature,
     _sign_rounding,
@@ -170,10 +170,10 @@ class System:
                     raise ValueError(f"{self.kind} requires {name}")
             elif name not in need:
                 raise ValueError(f"{self.kind} takes no {name}")
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            elif not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            else:
+                _check_finite(**{name: value})
+                if not value > 0:
+                    raise ValueError(f"{name} must be positive, got {value!r}")
         _check_node(self.k0, self.n_nodes)
 
     @property
@@ -241,19 +241,14 @@ class SweepResult:
     samples: int
 
 
-def _check_finite(**values) -> None:
-    for name, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _uniform_grid(bounds, step: float, strict: bool) -> np.ndarray:
+def _uniform_grid(name: str, bounds, step_name: str, step, strict: bool) -> np.ndarray:
     """The delta grid lo + i * step of dynamics._uniform, after checking
-    the range (exactly two bounds) and the step."""
+    the range argument called name (exactly two finite real bounds) and
+    the step argument called step_name."""
     if np.shape(bounds) != (2,):
         raise ValueError(f"a range must be two bounds (lo, hi), got {bounds!r}")
+    _check_finite(**{f"{name}[0]": bounds[0], f"{name}[1]": bounds[1], step_name: step})
     lo, hi, step = float(bounds[0]), float(bounds[1]), float(step)
-    _check_finite(range=(lo, hi), step=step)
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo or (strict and hi <= lo):
@@ -447,7 +442,7 @@ def sweep1d(
     """
     if mode not in (FIELD_PERPENDICULAR, FIELD_ALONG_B):
         raise ValueError(f"unknown field mode {mode!r}")
-    grid = _uniform_grid(delta_range, delta_step, strict=True)
+    grid = _uniform_grid("delta_range", delta_range, "delta_step", delta_step, strict=True)
     return _sweep(mode, grid, T, dtau, P0, margin, with_fn)
 
 
@@ -469,9 +464,9 @@ def sweep2d(
         steps = (steps,)
     if np.shape(steps) not in ((1,), (2,)):
         raise ValueError(f"steps must be one step or a (step1, step2) pair, got {steps!r}")
-    step1, step2 = steps[0], steps[-1]
-    g1 = _uniform_grid(delta1_range, step1, strict=False)
-    g2 = _uniform_grid(delta2_range, step2, strict=False)
+    last = f"steps[{len(steps) - 1}]"
+    g1 = _uniform_grid("delta1_range", delta1_range, "steps[0]", steps[0], strict=False)
+    g2 = _uniform_grid("delta2_range", delta2_range, last, steps[-1], strict=False)
     if g1.size * g2.size > _MAX_GRID_POINTS:
         raise ValueError(f"sweep grid has {g1.size * g2.size} points, cap is {_MAX_GRID_POINTS}")
     grid = np.column_stack([np.repeat(g1, g2.size), np.tile(g2, g1.size)])

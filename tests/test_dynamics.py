@@ -57,6 +57,15 @@ def test_tau_grid_rejects_non_finite(T, dtau):
         tau_grid(T, dtau)
 
 
+@pytest.mark.parametrize(
+    "T, dtau, name", [("5", 0.1, "T"), (5.0, None, "dtau"), (True, 0.5, "T"), (5.0, [0.1], "dtau")]
+)
+def test_tau_grid_rejects_non_numbers(T, dtau, name):
+    # "5" and None used to raise TypeError from the comparison
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        tau_grid(T, dtau)
+
+
 @pytest.mark.parametrize("T, dtau", [(1e308, 1e-10), (2e6, 1.0)])
 def test_tau_grid_rejects_oversized(T, dtau):
     # T / dtau overflows to inf in the first case and is finite but above

@@ -1,5 +1,7 @@
 """Concurrence and negativity closed forms against their oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,22 @@ def test_bipartition_validation():
     with pytest.raises(ValueError, match="node index 1.7 must be an integer"):
         Bipartition((1.7,), (2,))
     assert Bipartition((1, 5), (4, 8)).label() == "15_48"
+
+
+def test_bipartition_labels_are_distinct():
+    # '12_3' named both {1,2} vs {3} and {12} vs {3}; labels of one-digit
+    # nodes keep their form, the CLI's partition syntax
+    assert Bipartition((1, 2), (3,)).label() == "12_3"
+    assert Bipartition((12,), (3,)).label() == "12__3"
+    assert Bipartition((1, 12), (3, 4)).label() == "1-12__3-4"
+    groups = [(k,) for k in range(1, 13)] + list(itertools.combinations(range(1, 13), 2))
+    labels = {}
+    for a, b in itertools.product(groups, repeat=2):
+        if not set(a) & set(b):
+            label = Bipartition(a, b).label()
+            assert "," not in label
+            labels.setdefault(label, (a, b))
+            assert labels[label] == (a, b), f"{label!r} names {labels[label]} and {(a, b)}"
 
 
 def test_bipartition_accepts_numpy_integers():
@@ -236,3 +254,92 @@ def test_both_negativity_routes_name_a_node_beyond_n():
     for route in (negativity, negativity_oracle):
         with pytest.raises(ValueError, match="partition '15_49' names a node beyond 8"):
             route(state, Bipartition((1, 5), (4, 9)))
+
+
+def _full_matrix_oracle(state, p):
+    """The oracle as it was before the support cut: eigvalsh of the whole
+    2^m x 2^m partial transpose, kept here as the reference."""
+    nodes = p.a + p.b
+    m = len(nodes)
+    m1 = len(p.a)
+    dim = 2**m
+    v = np.zeros(dim, dtype=complex)
+    for t, node in enumerate(nodes):
+        v[1 << (m - 1 - t)] = state.amplitudes[node - 1]
+    rho = np.outer(v, np.conj(v))
+    rho[0, 0] += 1.0 - state.probabilities[[k - 1 for k in nodes]].sum()
+    t_rho = rho.reshape((2,) * (2 * m))
+    for t in range(m1):
+        t_rho = np.swapaxes(t_rho, t, m + t)
+    ev = np.linalg.eigvalsh(t_rho.reshape(dim, dim))
+    return float(2.0 * abs(ev[ev < -1e-12].sum()))
+
+
+def _random_state(rng, n):
+    amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+    amp /= np.linalg.norm(amp)
+    return TransferState(0.0, 1, amp, np.abs(amp) ** 2)
+
+
+def _eigvalsh_sizes(monkeypatch):
+    """Record the order of every matrix handed to np.linalg.eigvalsh."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        sizes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("m1, m2", [(m1, m - m1) for m in range(2, 9) for m1 in range(1, m)])
+def test_support_oracle_matches_full_matrix_on_every_split(m1, m2):
+    # 28 splits of up to 8 nodes: random 8-node states (weight outside
+    # A u B unless m1 + m2 = 8, the full cover with sigma = 0), the box at
+    # tau = 0 (no amplitude off k0) and at a generic time
+    rng = np.random.default_rng(100 * m1 + m2)
+    states = [_random_state(rng, 8) for _ in range(4)]
+    start = _state(tau=0.0, k0=int(rng.integers(1, 9)))
+    assert np.count_nonzero(start.amplitudes) == 1
+    states += [start, _state(tau=float(rng.uniform(0.0, 40.0)))]
+    for state in states:
+        perm = tuple(int(k) for k in rng.permutation(8) + 1)
+        part = Bipartition(perm[:m1], perm[m1 : m1 + m2])
+        assert negativity_oracle(state, part) == pytest.approx(_full_matrix_oracle(state, part), abs=1e-12)
+
+
+def test_support_oracle_weight_outside_both_parts(monkeypatch):
+    # sigma = 1: rho^{T_A} is the projector on the empty state, a 1 x 1 support
+    state = _state(tau=0.0, k0=8)
+    part = Bipartition((1, 2, 3), (4, 5, 6, 7))
+    assert _full_matrix_oracle(state, part) == 0.0
+    sizes = _eigvalsh_sizes(monkeypatch)
+    assert negativity_oracle(state, part) == 0.0
+    assert sizes == [(1, 1)]
+
+
+def test_support_oracle_matches_full_matrix_at_ten_nodes():
+    state = _random_state(np.random.default_rng(10), 10)
+    part = Bipartition((2, 4, 6, 8, 10), (1, 3, 5, 7, 9))
+    assert negativity_oracle(state, part) == pytest.approx(_full_matrix_oracle(state, part), abs=1e-12)
+
+
+def test_support_oracle_at_the_node_cap():
+    # a full 4096 x 4096 eigvalsh takes minutes, so the reference here is
+    # the closed form
+    state = _random_state(np.random.default_rng(12), 12)
+    part = Bipartition(tuple(range(1, 7)), tuple(range(7, 13)))
+    assert negativity_oracle(state, part) == pytest.approx(negativity(state, part), abs=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [((1, 5), (4, 8)), ((1, 2, 3), (4, 5, 6, 7, 8)), ((6,), (2, 7))])
+def test_support_oracle_diagonalizes_only_the_support(monkeypatch, a, b):
+    # the empty state, the m single excitations and the m1 m2 A-B pairs
+    state = _state(tau=1.3)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    negativity_oracle(state, Bipartition(a, b))
+    m1, m2 = len(a), len(b)
+    order = 1 + m1 + m2 + m1 * m2
+    assert sizes == [(order, order)]

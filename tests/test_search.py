@@ -465,6 +465,40 @@ def test_sweeps_require_exactly_two_bounds(bounds):
         sweep2d((1.0, 2.0), bounds, 0.5, 1.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (((1.0, 2.0), (0.1,), 1.0, 0.1), {}, "delta_step must be a real number, got (0.1,)"),
+        (((1.0, None), 0.1, 1.0, 0.1), {}, "delta_range[1] must be a real number, got None"),
+        ((("1", 2.0), 0.1, 1.0, 0.1), {}, "delta_range[0] must be a real number, got '1'"),
+        (((1.0, 2.0), 0.1, "1", 0.1), {}, "T must be a real number, got '1'"),
+        (((1.0, 2.0), 0.1, 1.0, None), {}, "dtau must be a real number, got None"),
+        (((1.0, 2.0), 0.1, 1.0, 0.1), {"P0": "0.9"}, "P0 must be a real number, got '0.9'"),
+        (((1.0, 2.0), 0.1, 1.0, 0.1), {"margin": None}, "margin must be a real number, got None"),
+    ],
+)
+def test_sweep1d_rejects_non_numbers(args, kwargs, message):
+    # each of these used to raise TypeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep1d(FIELD_PERPENDICULAR, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (((1.0, 2.0), (1.0, 2.0), (0.5, "a"), 1.0, 0.1), {}, "steps[1] must be a real number, got 'a'"),
+        (((1.0, 2.0), (1.0, 2.0), None, 1.0, 0.1), {}, "steps[0] must be a real number, got None"),
+        (((1.0, 2.0), (None, 2.0), 0.5, 1.0, 0.1), {}, "delta2_range[0] must be a real number, got None"),
+        (((1.0, "2"), (1.0, 2.0), 0.5, 1.0, 0.1), {}, "delta1_range[1] must be a real number, got '2'"),
+        (((1.0, 2.0), (1.0, 2.0), 0.5, 1.0, "0.1"), {}, "dtau must be a real number, got '0.1'"),
+        (((1.0, 2.0), (1.0, 2.0), 0.5, 1.0, 0.1), {"P0": None}, "P0 must be a real number, got None"),
+    ],
+)
+def test_sweep2d_rejects_non_numbers(args, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep2d(*args, **kwargs)
+
+
 @pytest.mark.parametrize("steps", [(0.5, 0.5, 0.5), (), [[0.5, 0.5]]])
 def test_sweep2d_requires_one_or_two_steps(steps):
     message = re.escape(f"steps must be one step or a (step1, step2) pair, got {steps!r}")
@@ -612,8 +646,8 @@ def test_pruned_box_sweep_equals_dense():
 def test_sweep2d_grid_order():
     # delta1 major, delta2 minor, as the nested comprehension built it
     res = sweep2d((1.0, 2.0), (3.0, 3.3), (0.25, 0.1), 1.0, 0.5)
-    g1 = search._uniform_grid((1.0, 2.0), 0.25, strict=False)
-    g2 = search._uniform_grid((3.0, 3.3), 0.1, strict=False)
+    g1 = search._uniform_grid("delta1_range", (1.0, 2.0), "steps[0]", 0.25, strict=False)
+    g2 = search._uniform_grid("delta2_range", (3.0, 3.3), "steps[1]", 0.1, strict=False)
     assert np.array_equal(res.grid, np.array([(d1, d2) for d1 in g1 for d2 in g2]))
 
 
@@ -656,6 +690,13 @@ def test_hpst_times_rejects_non_finite_threshold(p0):
         hpst_times(System("rect-along", delta=4.3), 3.5, 0.01, p0=p0)
     with pytest.raises(ValueError, match="nan"):
         hpst_times(System("rect-along", delta=4.3), np.nan, 0.01)
+
+
+@pytest.mark.parametrize("p0", ["x", None, True, (0.9,)])
+def test_hpst_times_rejects_a_threshold_that_is_not_a_number(p0):
+    # "x" used to raise TypeError from np.isfinite
+    with pytest.raises(ValueError, match=re.escape(f"p0 must be a real number, got {p0!r}")):
+        hpst_times(System("rect-along", delta=4.3), 3.5, 0.01, p0=p0)
 
 
 @pytest.mark.parametrize("taus", [[0.0, np.inf], [np.nan], [1.0, -np.inf, 2.0]])

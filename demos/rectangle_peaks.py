@@ -10,7 +10,7 @@ of the nodes are locked below probability 1/4 forever.
 
 import numpy as np
 
-from spintransfer import System, fp_value, hpst_times, probability_grid, tau_grid
+from spintransfer import System, fp_value, hpst_times, tau_grid
 
 delta = 4.3
 system = System("rect-along", delta=delta)
@@ -29,12 +29,12 @@ for kind, delta, label in (
     ("rect-perp", 1.0, "perpendicular field, b = 1"),
     ("rect-along", 0.5, "field along b, b = 2**(1/3)"),
 ):
-    probs = probability_grid(System(kind, delta=delta).spectrum(), 1, tau_grid(100.0, 0.002))
+    probs = System(kind, delta=delta).probability_grid(tau_grid(100.0, 0.002))
     print(f"  {label}: max P_12 = {probs[1].max():.6f}, max P_14 = {probs[3].max():.6f}")
 print("  (both are capped at 1/4 = 0.25 by the closed form)")
 
 print()
 print("The same cap blocks the cube, delta1 = delta2 = 1:")
-probs = probability_grid(System("box", delta1=1.0, delta2=1.0).spectrum(), 1, tau_grid(100.0, 0.002))
+probs = System("box", delta1=1.0, delta2=1.0).probability_grid(tau_grid(100.0, 0.002))
 print(f"  max P_12 = {probs[1].max():.6f}  (1/16 = {1/16:.6f})")
 print(f"  max P_16 = {probs[5].max():.6f}  (cap 1/4)")

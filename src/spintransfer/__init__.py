@@ -21,7 +21,6 @@ from .dynamics import (
     density_element,
     evolve,
     fidelity,
-    probability_grid,
     sign_probability_grid,
     tau_grid,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "negativity",
     "negativity_grid",
     "negativity_oracle",
-    "probability_grid",
     "rect_P",
     "rect_degenerate_P",
     "run_all",

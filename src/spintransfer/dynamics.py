@@ -6,15 +6,17 @@ a global phase, so reported phases (and the fidelity built from them)
 are relative to that convention.  Node indices are 1-based throughout
 the public surface.
 
-evolve (one state) and amplitude_grid / probability_grid (a grid) take
-any Spectrum: System.spectrum(), the sign basis with eigenvalues from
-the closed-form coupling row, or the numeric eigh of a layout's coupling
-matrix (hamiltonian.diagonalize), which serves as the reference.
+evolve (one state) and amplitude_grid (a grid) take any Spectrum:
+System.spectrum(), the sign basis with eigenvalues from the closed-form
+coupling row, or the numeric eigh of a layout's coupling matrix
+(hamiltonian.diagonalize), which serves as the reference.
 
-sign_probability_grid is the real-valued route for the pair, the
+sign_probability_grid is the one probability kernel, for the pair, the
 rectangle and the box, whose eigenvectors are the sign basis whatever
 the couplings: there the probabilities depend only on the first
-coupling row.
+coupling row, through one product of cosines per Walsh term (plus one
+of sines for the box).  System.probability_grid evaluates it for one
+system.
 """
 
 from __future__ import annotations
@@ -23,18 +25,15 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
-from operator import xor
 
 import numpy as np
 
-from .hamiltonian import Spectrum, sign_basis
+from .hamiltonian import _SIGN_VECTORS, Spectrum
 
 __all__ = [
     "TransferState",
     "evolve",
     "amplitude_grid",
-    "probability_grid",
     "sign_probability_grid",
     "tau_grid",
     "density_element",
@@ -119,34 +118,11 @@ def amplitude_grid(spectrum: Spectrum, k0: int, taus: np.ndarray) -> np.ndarray:
     return w @ phases
 
 
-def probability_grid(spectrum: Spectrum, k0: int, taus: np.ndarray) -> np.ndarray:
-    """Transfer probabilities P_{k0 m}(tau_i) as an (N, len(taus)) array."""
-    return np.abs(amplitude_grid(spectrum, k0, taus)) ** 2
-
-
-def _sign_terms(s: int) -> tuple:
-    """Per p = 1..N-1 (N = 2**s), the sign psi_p(x) of every node x and the
-    terms of E_p as (sign, sine nodes, cosine nodes), nodes 0-based.
-
-    The terms run over the subsets A of K_p = {g : psi_p(g) = -1} whose XOR
-    is 0; such an A has even size and the sign (-1)**(|A| / 2).
-    """
-    psi = np.rint(sign_basis(s) * np.sqrt(2.0**s)).astype(int)
-    table = []
-    for p in range(1, 2**s):
-        flipped = [g for g in range(2**s) if psi[p, g] < 0]
-        terms = [
-            ((-1) ** (size // 2), a, tuple(g for g in flipped if g not in a))
-            for size in range(0, len(flipped) + 1, 2)
-            for a in combinations(flipped, size)
-            if reduce(xor, a, 0) == 0
-        ]
-        table.append((psi[p], terms))
-    return tuple(table)
-
-
-# sign_probability_grid's term tables by node count.
-_SIGN_TERMS = {2**s: _sign_terms(s) for s in (1, 2, 3)}
+# K_p = {g : psi_p(g) = -1} for p = 1..N-1 by node count, in ascending
+# g; column p of hamiltonian's sign vectors is psi_p / sqrt N.
+_FLIPPED = {
+    n: [np.flatnonzero(u[:, p] < 0) for p in range(1, n)] for n, u in _SIGN_VECTORS.items()
+}
 
 # Absolute error of numpy's float64 sin and cos, in units of eps: below
 # 0.26 eps for arguments up to 1e8 against long-double references
@@ -171,14 +147,15 @@ def _sign_rounding(rows: np.ndarray, tau_max: float) -> np.ndarray:
 
     Each factor cos(d_1g tau) or sin(d_1g tau) is off by at most
     eps (|d_1g| tau + _TRIG_EPS) (the rounded angle, then the function);
-    a product of at most N such factors adds N eps, E_p's t terms add
+    a product of at most N such factors adds N eps, E_p's t products
+    (t = 2 for the box, its cosine and its sine product, else 1) add
     t eps each, and the log2(N) butterflies of sums at most t in size add
     log2(N) t eps.  So one sample is within
     eps t (sum_g |d_1g| tau_max + N (_TRIG_EPS + 1) + t + log2 N).
     """
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[1]
-    t = max(len(terms) for _, terms in _SIGN_TERMS[n])
+    t = 2 if n == 8 else 1
     spread = np.abs(rows[:, 1:]).sum(axis=1) * tau_max
     return np.finfo(float).eps * t * (spread + n * (_TRIG_EPS + 1) + t + n.bit_length() - 1)
 
@@ -193,9 +170,15 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
 
         P_{k0 m}(tau) = (1/N) sum_p psi_p(m XOR k0) E_p(tau),
 
-    E_0 = 1 and E_p the sum over the subsets A of K_p = {g : psi_p(g) = -1}
-    with XOR 0 of (-1)**(|A|/2) prod_{g in A} sin(d_1g tau)
-    prod_{g in K_p - A} cos(d_1g tau).  Only real cos and sin are taken,
+    E_0 = 1 and, with K_p = {g : psi_p(g) = -1},
+
+        E_p(tau) = prod_{g in K_p} cos(d_1g tau)
+                   (+ prod_{g in K_p} sin(d_1g tau) for the box).
+
+    E_p is the mean over q of exp(-i tau sum_{g in K_p} psi_q(g) d_1g);
+    expanding the product leaves only the subsets of K_p with XOR 0,
+    which for N <= 8 are the empty set and, for the box, K_p itself
+    (four nodes, sign +1).  Only real cos and sin are taken,
     and every sample is computed from its row and its tau alone, in the
     same order of operations, so it comes out bit for bit the same
     whichever other rows and times share the call.
@@ -204,14 +187,13 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     holding row c's own times in taus[c].
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] not in _SIGN_TERMS:
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] not in _FLIPPED:
         raise ValueError(f"rows must have shape (G, N), G >= 1, N = 2, 4 or 8, got {rows.shape}")
     n_points, n = rows.shape
     _check_node(k0, n)
     taus = np.asarray(taus, dtype=float)
     if not (taus.ndim == 1 or taus.ndim == 2 and taus.shape[0] == n_points):
         raise ValueError(f"taus must have shape (K,) or ({n_points}, K), got {taus.shape}")
-    table = _SIGN_TERMS[n]
     # d_1g tau for the nodes g >= 1, as (G, K) arrays; on a shared grid a
     # coupling that every row shares (d_12 = 1 along a sweep) is
     # evaluated once, as (1, K).
@@ -219,18 +201,18 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
         rows[:1, g, None] * taus if np.all(rows[:, g] == rows[0, g]) else rows[:, g, None] * taus
         for g in range(1, n)
     ]
-    sin = [np.sin(a) for a in angles] if n == 8 else None  # only the box's terms hold sines
+    sin = [np.sin(a) for a in angles] if n == 8 else None  # only the box's E_p hold sines
     cos = [np.cos(a, out=a) for a in angles]
     # e[p] = psi_p(k0) E_p / N, so the Walsh-Hadamard transform over p
     # gives P_{k0 m} at e[m] directly; scaling by +-1/N is exact.
+    scale = np.sign(_SIGN_VECTORS[n][k0 - 1]) / n
     e = np.empty((n, n_points, taus.shape[-1]))
     e[0] = 1.0 / n
-    for p, (psi, terms) in enumerate(table, start=1):
-        total = None
-        for sign, sines, cosines in terms:
-            term = reduce(np.multiply, [sin[g - 1] for g in sines] + [cos[g - 1] for g in cosines])
-            total = term if total is None else total + sign * term
-        np.multiply(total, psi[k0 - 1] / n, out=e[p])
+    for p, flipped in enumerate(_FLIPPED[n], start=1):
+        total = reduce(np.multiply, [cos[g - 1] for g in flipped])
+        if n == 8:
+            total = total + reduce(np.multiply, [sin[g - 1] for g in flipped])
+        np.multiply(total, scale[p], out=e[p])
     # Walsh-Hadamard transform, one butterfly at a time on whole (G, K)
     # slabs: they never overlap, so numpy takes no defensive copies.
     for bit in range(n.bit_length() - 1):

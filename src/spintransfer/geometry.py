@@ -42,7 +42,8 @@ class NodeLayout:
     """Coordinates of N >= 2 nodes plus the unit field axis.
 
     positions has shape (N, 3); field_axis has shape (3,) and unit norm.
-    The distance between nodes 1 and 2 must be 1, fixing the length unit.
+    Every coordinate must be finite.  The distance between nodes 1 and 2
+    must be 1, fixing the length unit.
     """
 
     positions: np.ndarray
@@ -55,6 +56,8 @@ class NodeLayout:
             raise ValueError("positions must be an (N, 3) array with N >= 2")
         if axis.shape != (3,):
             raise ValueError("field_axis must be a 3-vector")
+        if not (np.isfinite(pos).all() and np.isfinite(axis).all()):
+            raise ValueError("positions and field_axis must be finite")
         if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
             raise ValueError("field_axis must have unit norm")
         diff = pos[:, None, :] - pos[None, :, :]
@@ -91,17 +94,22 @@ class CouplingMatrix:
         return self.d.shape[0]
 
 
+def _check_positive(**values) -> None:
+    """Require each named value to be finite and positive."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def delta_to_b(delta: float) -> float:
     """Side length b for a coupling parameter delta, b = delta**(-1/3)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_positive(delta=delta)
     return float(delta) ** (-1.0 / 3.0)
 
 
 def b_to_delta(b: float) -> float:
     """Coupling parameter of a side of length b, delta = b**(-3)."""
-    if b <= 0:
-        raise ValueError("b must be positive")
+    _check_positive(b=b)
     return float(b) ** (-3.0)
 
 
@@ -122,8 +130,7 @@ def layout_rectangle(b: float, field_mode: str) -> NodeLayout:
     axis is +z in both embeddings, so the rectangle sits in the x-y
     plane for the former and in the x-z plane for the latter.
     """
-    if b <= 0:
-        raise ValueError("b must be positive")
+    _check_positive(b=b)
     if field_mode == FIELD_PERPENDICULAR:
         pos = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, b, 0.0], [0.0, b, 0.0]]
     elif field_mode == FIELD_ALONG_B:
@@ -139,8 +146,7 @@ def layout_parallelepiped(b1: float, b2: float) -> NodeLayout:
 
     The field axis is +z, parallel to the 1-5 edge of length b2.
     """
-    if b1 <= 0 or b2 <= 0:
-        raise ValueError("b1 and b2 must be positive")
+    _check_positive(b1=b1, b2=b2)
     base = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, b1, 0.0], [0.0, b1, 0.0]]
     )

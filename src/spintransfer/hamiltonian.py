@@ -85,8 +85,8 @@ def sign_basis(s: int) -> np.ndarray:
     s = 1, 2 and 3 the rows are the eigenvectors of the pair, rectangle
     and parallelepiped, on which _sign_spectrum is built.
     """
-    if not isinstance(s, (int, np.integer)) or not 1 <= s <= 10:
-        raise ValueError("s must be an integer in [1, 10]")
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 1 <= s <= 10:
+        raise ValueError(f"s must be an integer in [1, 10], got {s!r}")
     basis = np.ones((1, 1))
     for _ in range(s):
         basis = np.vstack(

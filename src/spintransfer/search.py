@@ -104,7 +104,8 @@ def coupling_rows(kind: str, params) -> np.ndarray:
     parameters (KINDS) in order, so (G, 0) for 'chain2'.  The closed forms
     equal coupling_matrix(System(kind, ...).layout()).d[0] up to roundoff
     and are elementwise, so a row does not depend on the others.  An
-    unknown kind or a params array of another shape raises ValueError.
+    unknown kind, a params array of another shape, or a parameter that is
+    not finite and positive raises ValueError.
     """
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
@@ -113,6 +114,12 @@ def coupling_rows(kind: str, params) -> np.ndarray:
     if params.ndim != 2 or params.shape[1] != len(names):
         raise ValueError(
             f"{kind} params must have shape (G, {len(names)}) for {names}, got {params.shape}"
+        )
+    valid = (params > 0) & (params < np.inf)
+    if not valid.all():
+        point, column = np.argwhere(~valid)[0]
+        raise ValueError(
+            f"{kind} {names[column]} must be finite and positive, got {float(params[point, column])!r}"
         )
     rows = np.zeros((params.shape[0], n_nodes))
     for g, column in enumerate(_ROW_FORMS[kind](*params.T), start=1):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedforms
-from .dynamics import evolve, probability_grid, tau_grid
+from .dynamics import amplitude_grid, evolve, tau_grid
 from .entanglement import (
     Bipartition,
     concurrence,
@@ -75,7 +75,7 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
 
     def compare(spec, k0, taus, expected):
         nonlocal dev
-        probs = probability_grid(spec, k0, taus)
+        probs = np.abs(amplitude_grid(spec, k0, taus)) ** 2
         dev = max(dev, float(np.abs(probs - np.stack(expected)).max()))
 
     taus = tau_grid(4.0 * np.pi, 0.01)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import CONSERVATION_LOG
-from spintransfer.dynamics import evolve, probability_grid, tau_grid
+from spintransfer.dynamics import evolve, tau_grid
 from spintransfer.entanglement import Bipartition, negativity
 from spintransfer.geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR
 from spintransfer.search import System, fp_value, hpst_times, sweep1d
@@ -67,14 +67,14 @@ def test_criterion_04_rect_along_objective_value():
 def test_criterion_05_degenerate_rectangles_capped():
     taus = tau_grid(100.0, 0.002)
     for kind, delta in (("rect-perp", 1.0), ("rect-along", 0.5)):
-        probs = probability_grid(System(kind, delta=delta).spectrum(), 1, taus)
+        probs = System(kind, delta=delta).probability_grid(taus)
         assert probs[1].max() <= 0.25 + 1e-9
         assert probs[3].max() <= 0.25 + 1e-9
 
 
 def test_criterion_06_cube_caps():
     taus = tau_grid(100.0, 0.002)
-    probs = probability_grid(System("box", delta1=1.0, delta2=1.0).spectrum(), 1, taus)
+    probs = System("box", delta1=1.0, delta2=1.0).probability_grid(taus)
     assert probs[1].max() == pytest.approx(1.0 / 16.0, abs=1e-6)
     assert probs[5].max() <= 0.25 + 1e-9
 

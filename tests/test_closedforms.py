@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import eigh_spectrum
 from spintransfer.closedforms import cube_P, rect_P, rect_degenerate_P, two_node_P
-from spintransfer.dynamics import probability_grid, tau_grid
+from spintransfer.dynamics import amplitude_grid, tau_grid
 from spintransfer.geometry import coupling_matrix
 from spintransfer.search import KINDS, System, coupling_rows
 
@@ -65,7 +65,7 @@ def test_cube_starts_localized():
 
 
 def _spectral(system, grid):
-    return probability_grid(eigh_spectrum(system), 1, grid)
+    return np.abs(amplitude_grid(eigh_spectrum(system), 1, grid)) ** 2
 
 
 def test_two_node_matches_spectral_path():

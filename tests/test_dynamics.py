@@ -1,5 +1,9 @@
 """Evolution amplitudes, probabilities, grids, and fidelity."""
 
+from functools import reduce
+from itertools import combinations
+from operator import xor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import eigh_spectrum
 from spintransfer.dynamics import (
+    _FLIPPED,
     TransferState,
     _sign_curvature,
     _sign_rounding,
+    amplitude_grid,
     density_element,
     evolve,
     fidelity,
-    probability_grid,
     sign_probability_grid,
     tau_grid,
 )
@@ -130,7 +135,7 @@ def test_evolve_rejects_bad_source():
     with pytest.raises(ValueError):
         evolve(spec, 3, 1.0)
     with pytest.raises(ValueError, match="node index 2.5 must be an integer"):
-        probability_grid(spec, 2.5, np.zeros(1))
+        amplitude_grid(spec, 2.5, np.zeros(1))
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
@@ -195,7 +200,7 @@ def test_sign_kernel_matches_numeric_spectrum():
         n_nodes, names = KINDS[kind]
         deltas = {name: float(rng.uniform(0.5, 30.0)) for name in names}
         system = System(kind, **deltas, k0=int(rng.integers(1, n_nodes + 1)))
-        numeric = probability_grid(eigh_spectrum(system), system.k0, grid)
+        numeric = np.abs(amplitude_grid(eigh_spectrum(system), system.k0, grid)) ** 2
         assert np.abs(system.probability_grid(grid) - numeric).max() <= 1e-12
 
 
@@ -258,6 +263,84 @@ def test_sign_kernel_conserves_probability():
             for times in (grid, own):
                 total = sign_probability_grid(rows, k0, times).sum(axis=1)
                 assert np.abs(total - 1.0).max() <= 1e-10, (kind, k0)
+
+
+def _general_sign_terms(s: int) -> tuple:
+    """Per p = 1..N-1 (N = 2**s), the sign psi_p(x) of every node x and the
+    terms of E_p as (sign, sine nodes, cosine nodes), nodes 0-based.
+
+    The terms run over the subsets A of K_p = {g : psi_p(g) = -1} whose XOR
+    is 0; such an A has even size and the sign (-1)**(|A| / 2).
+    """
+    psi = np.rint(sign_basis(s) * np.sqrt(2.0**s)).astype(int)
+    table = []
+    for p in range(1, 2**s):
+        flipped = [g for g in range(2**s) if psi[p, g] < 0]
+        terms = [
+            ((-1) ** (size // 2), a, tuple(g for g in flipped if g not in a))
+            for size in range(0, len(flipped) + 1, 2)
+            for a in combinations(flipped, size)
+            if reduce(xor, a, 0) == 0
+        ]
+        table.append((psi[p], terms))
+    return tuple(table)
+
+
+_GENERAL_SIGN_TERMS = {2**s: _general_sign_terms(s) for s in (1, 2, 3)}
+
+
+def _general_sign_probability_grid(rows, k0, taus):
+    """sign_probability_grid with E_p summed over every XOR-zero subset of
+    K_p, the general term loop the kernel was first written with."""
+    n_points, n = rows.shape
+    angles = [
+        rows[:1, g, None] * taus if np.all(rows[:, g] == rows[0, g]) else rows[:, g, None] * taus
+        for g in range(1, n)
+    ]
+    sin = [np.sin(a) for a in angles] if n == 8 else None
+    cos = [np.cos(a, out=a) for a in angles]
+    e = np.empty((n, n_points, taus.shape[-1]))
+    e[0] = 1.0 / n
+    for p, (psi, terms) in enumerate(_GENERAL_SIGN_TERMS[n], start=1):
+        total = None
+        for sign, sines, cosines in terms:
+            term = reduce(np.multiply, [sin[g - 1] for g in sines] + [cos[g - 1] for g in cosines])
+            total = term if total is None else total + sign * term
+        np.multiply(total, psi[k0 - 1] / n, out=e[p])
+    for bit in range(n.bit_length() - 1):
+        for low in range(n):
+            if not low >> bit & 1:
+                high = low | 1 << bit
+                plus = e[low] + e[high]
+                np.subtract(e[low], e[high], out=e[high])
+                e[low] = plus
+    return e.transpose(1, 0, 2)
+
+
+def test_sign_kernel_equals_general_subset_kernel():
+    # one cosine product per E_p (plus one sine product for the box) gives
+    # every sample of the general XOR-subset sum bit for bit
+    rng = np.random.default_rng(18)
+    grid = tau_grid(12.0, 0.01)
+    for kind, rows in _rows_of_every_kind(rng, count=11):
+        own = rng.uniform(0.0, 40.0, size=(rows.shape[0], 300))
+        cases = ((rows, grid), (rows, own), (rows[:1], grid), (rows[:1], own[:1]))
+        for k0 in range(1, rows.shape[1] + 1):
+            for block, times in cases:
+                expected = _general_sign_probability_grid(block, k0, times)
+                assert np.array_equal(sign_probability_grid(block, k0, times), expected), (kind, k0)
+
+
+def test_flipped_nodes_have_odd_overlap_parity():
+    # K_p = {g : popcount(p & g) odd}; only the box's K_p has XOR 0, which
+    # is what makes its sine product the one extra term
+    for n, flipped in _FLIPPED.items():
+        assert len(flipped) == n - 1
+        for p, nodes in enumerate(flipped, start=1):
+            assert nodes.tolist() == [g for g in range(n) if bin(p & g).count("1") % 2]
+            assert (reduce(xor, nodes.tolist()) == 0) == (n == 8)
+        terms = [len(t) for _, t in _GENERAL_SIGN_TERMS[n]]
+        assert terms == [2 if n == 8 else 1] * (n - 1)
 
 
 def test_sign_curvature_bounds_second_derivative():

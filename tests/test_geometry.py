@@ -30,10 +30,23 @@ def test_delta_b_round_trip():
 
 
 def test_delta_to_b_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        delta_to_b(0.0)
-    with pytest.raises(ValueError):
-        delta_to_b(-1.0)
+    for value in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            delta_to_b(value)
+        with pytest.raises(ValueError, match="b must be finite and positive"):
+            b_to_delta(value)
+
+
+@pytest.mark.parametrize("side", [0.0, -1.0, np.nan, np.inf])
+def test_layouts_reject_non_finite_and_nonpositive_sides(side):
+    # a NaN side gave NaN positions, an infinite one inf positions
+    for mode in (FIELD_PERPENDICULAR, FIELD_ALONG_B):
+        with pytest.raises(ValueError, match="b must be finite and positive"):
+            layout_rectangle(side, mode)
+    with pytest.raises(ValueError, match="b1 must be finite and positive"):
+        layout_parallelepiped(side, 1.0)
+    with pytest.raises(ValueError, match="b2 must be finite and positive"):
+        layout_parallelepiped(1.0, side)
 
 
 def test_chain2_coupling_is_unity():
@@ -120,6 +133,15 @@ def test_layout_rejects_coincident_nodes():
     positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         NodeLayout(positions, np.array([0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_layout_rejects_non_finite_coordinates(bad):
+    positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, bad, 0.0]])
+    with pytest.raises(ValueError, match="must be finite"):
+        NodeLayout(positions, np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="must be finite"):
+        NodeLayout(positions[:2], np.array([0.0, bad, 1.0]))
 
 
 def test_layout_rejects_non_unit_axis():

@@ -119,6 +119,9 @@ def test_sign_basis_rejects_out_of_range():
         sign_basis(0)
     with pytest.raises(ValueError):
         sign_basis(11)
+    # a bool is not a dimension, although True == 1
+    with pytest.raises(ValueError, match="got True"):
+        sign_basis(True)
 
 
 def test_parallelepiped_eigenvectors_are_sign_patterns():

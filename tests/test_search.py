@@ -126,6 +126,23 @@ def test_coupling_rows_rejects_unknown_kind_and_wrong_shape(kind, params, messag
         coupling_rows(kind, params)
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("rect-perp", [[np.nan]], "rect-perp delta must be finite and positive, got nan"),
+        ("rect-along", [[0.0]], "rect-along delta must be finite and positive, got 0.0"),
+        ("rect-perp", [[-1.0]], "rect-perp delta must be finite and positive, got -1.0"),
+        ("rect-along", [[2.0], [np.inf]], "rect-along delta must be finite and positive, got inf"),
+        ("box", [[1.0, 2.0], [3.0, -np.inf]], "box delta2 must be finite and positive, got -inf"),
+    ],
+)
+def test_coupling_rows_rejects_bad_parameters(kind, params, message):
+    # NaN gave NaN rows, 0 and -1 a RuntimeWarning or inf/NaN rows, and inf
+    # a finite row of no geometry
+    with pytest.raises(ValueError, match=re.escape(message)):
+        coupling_rows(kind, params)
+
+
 def test_spectrum_matches_eigh_on_every_kind():
     # System.spectrum() (sign basis, closed-form row) against the numeric
     # eigh of the layout: random systems of each kind (the pair among

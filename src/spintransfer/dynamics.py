@@ -6,10 +6,12 @@ a global phase, so reported phases (and the fidelity built from them)
 are relative to that convention.  Node indices are 1-based throughout
 the public surface.
 
-evolve (one state) and amplitude_grid (a grid) take any Spectrum:
-System.spectrum(), the sign basis with eigenvalues from the closed-form
-coupling row, or the numeric eigh of a layout's coupling matrix
-(hamiltonian.diagonalize), which serves as the reference.
+evolve (the point route: one state, one exponential per eigenvalue) and
+amplitude_grid (the grid route: amplitudes on tau_grid(T, dtau) from
+factored phase tables) take any Spectrum: System.spectrum(), the sign
+basis with eigenvalues from the closed-form coupling row, or the
+numeric eigh of a layout's coupling matrix (hamiltonian.diagonalize),
+which serves as the reference.
 
 sign_probability_grid is the one probability kernel, for the pair, the
 rectangle and the box, whose eigenvectors are the sign basis whatever
@@ -109,13 +111,27 @@ def tau_grid(T: float, dtau: float) -> np.ndarray:
     return _uniform(0.0, T, dtau)
 
 
-def amplitude_grid(spectrum: Spectrum, k0: int, taus: np.ndarray) -> np.ndarray:
-    """Amplitudes f_{k0 m}(tau_i) as an (N, len(taus)) array."""
+def amplitude_grid(spectrum: Spectrum, k0: int, T: float, dtau: float) -> np.ndarray:
+    """Amplitudes f_{k0 m}(tau_i) on tau_grid(T, dtau) as an (N, K) array.
+
+    The phases factor by angle addition: with B = ceil(sqrt K) and
+    i = q B + r, exp(-i lambda tau_i / 2) is the product of a coarse
+    factor at tau_{qB} and a fine one at tau_r, so each eigenvalue takes
+    B + ceil(K / B) complex exponentials instead of K.  The last point,
+    which tau_grid may have clipped to T, is evaluated at its own time.
+    """
     _check_node(k0, spectrum.n_nodes)
-    u = spectrum.eigenvectors
+    taus = tau_grid(T, dtau)
+    k = taus.size
+    b = math.isqrt(k - 1) + 1
+    u, lam = spectrum.eigenvectors, spectrum.eigenvalues
     w = u * u[k0 - 1]  # w[m, j] = u_{k0 j} u_{m j}
-    phases = np.exp(-0.5j * np.outer(spectrum.eigenvalues, np.asarray(taus)))
-    return w @ phases
+    coarse = np.exp(-0.5j * np.outer(taus[::b], lam))  # (Q, N); taus[qB] = qB dtau
+    fine = np.exp(-0.5j * np.outer(lam, taus[:b]))  # (N, B)
+    # amps[m, q, r] = sum_j w[m, j] coarse[q, j] fine[j, r]
+    amps = ((w[:, None, :] * coarse) @ fine).reshape(len(lam), -1)[:, :k]
+    amps[:, -1] = w @ np.exp(-0.5j * lam * taus[-1])
+    return amps
 
 
 # K_p = {g : psi_p(g) = -1} for p = 1..N-1 by node count, in ascending
@@ -230,7 +246,9 @@ def evolve(spectrum: Spectrum, k0: int, tau: float) -> TransferState:
     tau = float(tau)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
-    amp = amplitude_grid(spectrum, k0, np.array([tau]))[:, 0]
+    _check_node(k0, spectrum.n_nodes)
+    u = spectrum.eigenvectors
+    amp = (u * u[k0 - 1]) @ np.exp(-0.5j * spectrum.eigenvalues * tau)
     return TransferState(tau=tau, k0=k0, amplitudes=amp, probabilities=np.abs(amp) ** 2)
 
 

@@ -104,8 +104,9 @@ def coupling_rows(kind: str, params) -> np.ndarray:
     parameters (KINDS) in order, so (G, 0) for 'chain2'.  The closed forms
     equal coupling_matrix(System(kind, ...).layout()).d[0] up to roundoff
     and are elementwise, so a row does not depend on the others.  An
-    unknown kind, a params array of another shape, or a parameter that is
-    not finite and positive raises ValueError.
+    unknown kind, a params array of another shape, a parameter that is
+    not finite and positive, or one so small or large that the row
+    overflows or divides by zero raises ValueError.
     """
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
@@ -121,10 +122,32 @@ def coupling_rows(kind: str, params) -> np.ndarray:
         raise ValueError(
             f"{kind} {names[column]} must be finite and positive, got {float(params[point, column])!r}"
         )
+    try:
+        columns = _row_columns(kind, params)
+    except FloatingPointError:
+        # halve the points down to the first one whose row fails, to name it
+        lo, hi = 0, len(params)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _row_columns(kind, params[lo:mid])
+                lo = mid
+            except FloatingPointError:
+                hi = mid
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(names, params[lo].tolist()))
+        raise ValueError(f"{kind} coupling row leaves the floating-point range at {values}") from None
     rows = np.zeros((params.shape[0], n_nodes))
-    for g, column in enumerate(_ROW_FORMS[kind](*params.T), start=1):
+    for g, column in enumerate(columns, start=1):
         rows[:, g] = column
     return rows
+
+
+def _row_columns(kind: str, params: np.ndarray) -> tuple:
+    """The columns d_12 .. d_1N of _ROW_FORMS[kind] at params, with an
+    overflow, a division by zero or an invalid operation raising
+    FloatingPointError."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return _ROW_FORMS[kind](*params.T)
 
 
 # Points x N x tau samples of the probability block a sweep evaluates at

@@ -7,9 +7,12 @@ oracles, and System.spectrum() (the sign basis, with eigenvalues from
 the closed-form coupling row) against the numeric solver.  The
 closed-form and spectra suites diagonalize real layouts with eigh, so
 every analytic formula, the closed-form rows included, is checked
-against an independent route; the oracle suites evolve
-System.spectrum(), since there the oracle is the reference.  Randomized
-draws use a fixed seed so runs are reproducible.
+against an independent route.  The closed-form suite also checks the
+sign kernel behind System.probability_grid, the route of every sweep,
+peak and CSV, against the pair, degenerate-rectangle and cube formulas.
+The oracle suites evolve System.spectrum(), since there the oracle is
+the reference.  Randomized draws use a fixed seed so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -69,31 +72,46 @@ def _random_system(rng) -> System:
 
 
 def suite_closed_forms(draws: int = 300) -> SuiteResult:
-    """Spectral-path probabilities vs the analytic formulas."""
+    """Spectral-path probabilities vs the analytic formulas.
+
+    Every closed form is compared with the eigh route on its layout
+    (amplitude_grid, dtau = 0.01); the pair, the two degenerate
+    rectangles and the cube are compared with the sign kernel
+    (System.probability_grid) on the same grid as well.
+    """
     rng = np.random.default_rng(_SEED)
+    dtau = 0.01
     dev = 0.0
 
-    def compare(spec, k0, taus, expected):
+    def compare(probs, expected):
         nonlocal dev
-        probs = np.abs(amplitude_grid(spec, k0, taus)) ** 2
         dev = max(dev, float(np.abs(probs - np.stack(expected)).max()))
 
-    taus = tau_grid(4.0 * np.pi, 0.01)
-    c = coupling_matrix(System("chain2").layout())
-    compare(diagonalize(build_D(c)), 1, taus, closedforms.two_node_P(taus))
+    def spectral(c, T):
+        """P_{1 m} on tau_grid(T, dtau) from the eigh of the coupling matrix c."""
+        return np.abs(amplitude_grid(diagonalize(build_D(c)), 1, T, dtau)) ** 2
 
-    taus = tau_grid(30.0, 0.01)
+    def both_routes(system, T, closed_form):
+        """The eigh route on system's layout and its sign kernel against
+        closed_form(taus, d_1), d_1 the layout's first coupling row."""
+        c = coupling_matrix(system.layout())
+        taus = tau_grid(T, dtau)
+        expected = closed_form(taus, c.d[0])
+        compare(spectral(c, T), expected)
+        compare(system.probability_grid(taus), expected)
+
+    both_routes(System("chain2"), 4.0 * np.pi, lambda taus, d: closedforms.two_node_P(taus))
+
+    taus = tau_grid(30.0, dtau)
     for _ in range(draws):
         mode = FIELD_PERPENDICULAR if rng.random() < 0.5 else FIELD_ALONG_B
         c = coupling_matrix(layout_rectangle(float(rng.uniform(0.3, 3.0)), mode))
-        compare(diagonalize(build_D(c)), 1, taus, closedforms.rect_P(taus, c.d[0, 2], c.d[0, 3]))
+        compare(spectral(c, 30.0), closedforms.rect_P(taus, c.d[0, 2], c.d[0, 3]))
 
-    taus = tau_grid(60.0, 0.01)
     for kind, delta in (("rect-perp", 1.0), ("rect-along", 0.5)):
-        c = coupling_matrix(System(kind, delta=delta).layout())
-        compare(diagonalize(build_D(c)), 1, taus, closedforms.rect_degenerate_P(taus, c.d[0, 2]))
-    c = coupling_matrix(System("box", delta1=1.0, delta2=1.0).layout())
-    compare(diagonalize(build_D(c)), 1, taus, closedforms.cube_P(taus))
+        degenerate = System(kind, delta=delta)
+        both_routes(degenerate, 60.0, lambda taus, d: closedforms.rect_degenerate_P(taus, d[2]))
+    both_routes(System("box", delta1=1.0, delta2=1.0), 60.0, lambda taus, d: closedforms.cube_P(taus))
 
     return _result("closed-forms", dev, 1e-10)
 

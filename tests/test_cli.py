@@ -344,6 +344,16 @@ def test_non_finite_value_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_coupling_row_out_of_range_is_usage_error(tmp_path, capsys):
+    # exited 0 with an overflow warning and P_3 = P_4 = 0 in the CSV
+    out = tmp_path / "x.csv"
+    code = main(["simulate", "--system", "rect-along", "--delta", "1e-300", "--T", "1",
+                 "--dtau", "0.5", "--out", str(out)])
+    assert code == 2
+    assert "rect-along coupling row leaves the floating-point range at delta=1e-300" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [

@@ -64,12 +64,13 @@ def test_cube_starts_localized():
     assert max(p[1:]) == pytest.approx(0.0, abs=1e-15)
 
 
-def _spectral(system, grid):
-    return np.abs(amplitude_grid(eigh_spectrum(system), 1, grid)) ** 2
+def _spectral(system):
+    """P_{1 m} on GRID through the eigh of the system's layout."""
+    return np.abs(amplitude_grid(eigh_spectrum(system), 1, 30.0, 0.001)) ** 2
 
 
 def test_two_node_matches_spectral_path():
-    probs = _spectral(System("chain2"), GRID)
+    probs = _spectral(System("chain2"))
     assert np.abs(probs - np.stack(two_node_P(GRID))).max() < 1e-10
 
 
@@ -78,7 +79,7 @@ def test_rect_matches_spectral_path(kind, delta):
     sys = System(kind, delta=delta)
     d = coupling_matrix(sys.layout()).d
     expected = np.stack(rect_P(GRID, d[0, 2], d[0, 3]))
-    assert np.abs(_spectral(sys, GRID) - expected).max() < 1e-10
+    assert np.abs(_spectral(sys) - expected).max() < 1e-10
 
 
 @pytest.mark.parametrize("kind,delta", [("rect-perp", 1.0), ("rect-along", 0.5)])
@@ -88,12 +89,12 @@ def test_degenerate_rect_matches_spectral_path(kind, delta):
     d = coupling_matrix(sys.layout()).d
     assert abs(abs(d[0, 3]) - 1.0) < 1e-12
     expected = np.stack(rect_degenerate_P(GRID, d[0, 2]))
-    assert np.abs(_spectral(sys, GRID) - expected).max() < 1e-10
+    assert np.abs(_spectral(sys) - expected).max() < 1e-10
 
 
 def test_cube_matches_spectral_path():
     expected = np.stack(cube_P(GRID))
-    assert np.abs(_spectral(System("box", delta1=1.0, delta2=1.0), GRID) - expected).max() < 1e-10
+    assert np.abs(_spectral(System("box", delta1=1.0, delta2=1.0)) - expected).max() < 1e-10
 
 
 @pytest.mark.parametrize(

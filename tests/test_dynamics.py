@@ -22,6 +22,7 @@ from spintransfer.dynamics import (
     sign_probability_grid,
     tau_grid,
 )
+from spintransfer.geometry import b_to_delta
 from spintransfer.hamiltonian import sign_basis
 from spintransfer.search import KINDS, System, coupling_rows
 
@@ -135,7 +136,7 @@ def test_evolve_rejects_bad_source():
     with pytest.raises(ValueError):
         evolve(spec, 3, 1.0)
     with pytest.raises(ValueError, match="node index 2.5 must be an integer"):
-        amplitude_grid(spec, 2.5, np.zeros(1))
+        amplitude_grid(spec, 2.5, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
@@ -200,8 +201,65 @@ def test_sign_kernel_matches_numeric_spectrum():
         n_nodes, names = KINDS[kind]
         deltas = {name: float(rng.uniform(0.5, 30.0)) for name in names}
         system = System(kind, **deltas, k0=int(rng.integers(1, n_nodes + 1)))
-        numeric = np.abs(amplitude_grid(eigh_spectrum(system), system.k0, grid)) ** 2
+        numeric = np.abs(amplitude_grid(eigh_spectrum(system), system.k0, 10.0, 0.01)) ** 2
         assert np.abs(system.probability_grid(grid) - numeric).max() <= 1e-12
+
+
+def _amplitude_systems(rng):
+    """Systems for the grid-route tests: rectangles of side b in [0.3, 3],
+    boxes of delta in [0.1, 15] and the pair, each with a random k0."""
+    for _ in range(4):
+        mode = str(rng.choice(["rect-perp", "rect-along"]))
+        yield System(mode, delta=b_to_delta(float(rng.uniform(0.3, 3.0))), k0=int(rng.integers(1, 5)))
+        deltas = rng.uniform(0.1, 15.0, size=2)
+        yield System("box", delta1=float(deltas[0]), delta2=float(deltas[1]), k0=int(rng.integers(1, 9)))
+    yield System("chain2", k0=2)
+
+
+def test_amplitude_grid_matches_evolve():
+    # the factored phase tables against one direct exponential per time,
+    # on the numeric eigh and on System.spectrum(), for T up to 60
+    rng = np.random.default_rng(16)
+    for system in _amplitude_systems(rng):
+        T, dtau = float(rng.uniform(1.0, 60.0)), float(rng.uniform(0.01, 0.1))
+        for spec in (eigh_spectrum(system), system.spectrum()):
+            grid = amplitude_grid(spec, system.k0, T, dtau)
+            direct = np.stack([evolve(spec, system.k0, tau).amplitudes for tau in tau_grid(T, dtau)], axis=1)
+            assert np.abs(grid - direct).max() <= 1e-12, (system, T, dtau)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 48, 49, 97, 3000])
+def test_amplitude_grid_shapes(steps):
+    # T / dtau = 1, a perfect square (49), a prime (97), and sample counts
+    # K = steps + 1 that are perfect squares (3, 48) or not
+    system = System("box", delta1=2.0, delta2=3.0, k0=3)
+    spec = system.spectrum()
+    T = steps * 0.25
+    grid = amplitude_grid(spec, 3, T, 0.25)
+    assert grid.shape == (8, steps + 1)
+    direct = np.stack([evolve(spec, 3, tau).amplitudes for tau in tau_grid(T, 0.25)], axis=1)
+    assert np.abs(grid - direct).max() <= 1e-12
+    assert np.abs(grid[:, 0] - np.eye(8)[2]).max() <= 1e-15  # tau = 0 is the identity
+
+
+def test_amplitude_grid_last_point_clipped_to_T():
+    # 10 steps of 0.1 (1 + 5e-10) overshoot T = 1 by 5e-10, within the
+    # grid's roundoff allowance, so the last point is T itself
+    dtau = 0.1 * (1.0 + 5e-10)
+    assert tau_grid(1.0, dtau)[-1] == 1.0
+    spec = System("rect-along", delta=4.3).spectrum()
+    grid = amplitude_grid(spec, 1, 1.0, dtau)
+    assert np.array_equal(grid[:, -1], evolve(spec, 1, 1.0).amplitudes)
+
+
+@pytest.mark.parametrize(
+    "k0, T, dtau",
+    [(0, 1.0, 0.1), (5, 1.0, 0.1), (True, 1.0, 0.1), (1, 1.0, 0.0), (1, 1.0, 2.0), (1, np.nan, 0.1),
+     (1, 1.0, np.inf), (1, "1", 0.1), (1, 2e6, 1.0)],
+)
+def test_amplitude_grid_rejects_bad_arguments(k0, T, dtau):
+    with pytest.raises(ValueError):
+        amplitude_grid(System("rect-perp", delta=2.0).spectrum(), k0, T, dtau)
 
 
 def _sign_rows(rng):

@@ -143,6 +143,24 @@ def test_coupling_rows_rejects_bad_parameters(kind, params, message):
         coupling_rows(kind, params)
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("rect-along", [[1e-300]], "rect-along coupling row leaves the floating-point range at delta=1e-300"),
+        ("box", [[1e-300, 1e-300]], "box coupling row leaves the floating-point range at delta1=1e-300, delta2=1e-300"),
+        ("box", [[1e300, 1e300]], "box coupling row leaves the floating-point range at delta1=1e+300, delta2=1e+300"),
+        # the first failing point of many is named
+        ("box", [[1.0, 2.0], [1e300, 1.0], [3.0, 4.0], [1e-300, 1.0], [1e300, 1e300]],
+         "box coupling row leaves the floating-point range at delta1=1e-300, delta2=1.0"),
+    ],
+)
+def test_coupling_rows_rejects_rows_out_of_range(kind, params, message):
+    # rect-along at 1e-300 overflowed in a power and gave d_13 = 0 with a
+    # RuntimeWarning; the boxes divided by zero and held -inf
+    with pytest.raises(ValueError, match=re.escape(message)):
+        coupling_rows(kind, params)
+
+
 def test_spectrum_matches_eigh_on_every_kind():
     # System.spectrum() (sign basis, closed-form row) against the numeric
     # eigh of the layout: random systems of each kind (the pair among

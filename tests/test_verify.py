@@ -1,11 +1,14 @@
 """The seeded draws behind the randomized verify suites, and what the
-spectra suite catches."""
+spectra and closed-form suites catch."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+import spintransfer.dynamics as dynamics
 import spintransfer.search as search
-from spintransfer.verify import _random_system, suite_spectra
+from spintransfer.verify import _random_system, run_all, suite_spectra
 
 # (kind, delta, delta1, delta2, k0) of the first draws from seed 174,
 # recorded when each kind was still drawn by its own branch.
@@ -42,3 +45,17 @@ def test_spectra_suite_fails_on_a_wrong_coupling_row(monkeypatch, kind):
     result = suite_spectra()
     assert not result.passed
     assert result.max_deviation > 1e-3
+
+
+def test_closed_forms_suite_fails_on_a_wrong_sign_kernel(monkeypatch):
+    # the kernel behind System.probability_grid, with the box's sine
+    # product subtracted from its cosine product instead of added
+    source = inspect.getsource(dynamics.sign_probability_grid)
+    right = "total = total + reduce(np.multiply, [sin[g - 1]"
+    assert source.count(right) == 1
+    namespace = dict(vars(dynamics))
+    exec(source.replace(right, right.replace("+", "-")), namespace)
+    monkeypatch.setattr(search, "sign_probability_grid", namespace["sign_probability_grid"])
+    results = {result.name: result for result in run_all()}
+    assert not results["closed-forms"].passed
+    assert results["closed-forms"].max_deviation > 0.1

@@ -14,7 +14,7 @@ cross-checks the independent code paths against each other; cli exposes
 everything as subcommands.
 """
 
-from .closedforms import cube_P, rect_P, rect_degenerate_P, two_node_P
+from .closedforms import cube_P, rect_P, two_node_P
 from .dynamics import (
     TransferState,
     amplitude_grid,
@@ -103,7 +103,6 @@ __all__ = [
     "negativity_grid",
     "negativity_oracle",
     "rect_P",
-    "rect_degenerate_P",
     "run_all",
     "sigma",
     "sign_basis",

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "two_node_P",
     "rect_P",
-    "rect_degenerate_P",
     "cube_P",
 ]
 
@@ -43,18 +42,6 @@ def rect_P(tau, d13: float, d14: float):
     p13 = 0.25 * (1.0 + c * (c14 - c13) - prod)
     p14 = 0.25 * (1.0 + c * (-c14 + c13) - prod)
     return p11, p12, p13, p14
-
-
-def rect_degenerate_P(tau, d13: float):
-    """Rectangle at |d14| = 1, where nodes 2 and 4 become equivalent."""
-    tau = np.asarray(tau, dtype=float)
-    c = np.cos(tau)
-    c13 = np.cos(d13 * tau)
-    s = np.sin(tau)
-    p11 = 0.25 * (1.0 + c * c + 2.0 * c * c13)
-    p12 = 0.25 * s * s
-    p13 = 0.25 * (1.0 + c * c - 2.0 * c * c13)
-    return p11, p12, p13, p12
 
 
 def cube_P(tau):

@@ -14,6 +14,7 @@ the 1-2 segment, which is the case in all built-in layouts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,22 +95,41 @@ class CouplingMatrix:
         return self.d.shape[0]
 
 
-def _check_positive(**values) -> None:
-    """Require each named value to be finite and positive."""
-    for name, value in values.items():
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+# The coupling-parameter domain, delta = b**-3 in [1e-9, 1e9], is the set
+# of sides b in [1e-3, 1e3]; every closed-form coupling row is finite there,
+# and delta_to_b and b_to_delta map each edge inside the other domain.
+_DELTA_DOMAIN = (1e-9, 1e9)
+_SIDE_DOMAIN = (1e-3, 1e3)
+
+
+def _check_domain(names, values, domain=_DELTA_DOMAIN) -> None:
+    """Require real numbers, not bools, in the coupling domain (or, given
+    _SIDE_DOMAIN, the side domain): one scalar called names, or the rows
+    of a (G, P) array or nested sequence whose column p is called names[p].
+    ValueError names the argument and the first value outside the domain.
+    """
+    lo, hi = domain
+    if isinstance(names, str):
+        names, values = (names,), [[values]]
+    elif isinstance(values, np.ndarray):
+        if values.dtype.kind in "iuf" and ((values >= lo) & (values <= hi)).all():
+            return
+        values = values.tolist()
+    for row in values:
+        for name, value in zip(names, row):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not lo <= value <= hi:
+                raise ValueError(f"{name} must be a real number in [{lo:g}, {hi:g}], got {value!r}")
 
 
 def delta_to_b(delta: float) -> float:
-    """Side length b for a coupling parameter delta, b = delta**(-1/3)."""
-    _check_positive(delta=delta)
+    """Side b = delta**(-1/3) in [1e-3, 1e3] of a coupling parameter delta in [1e-9, 1e9]."""
+    _check_domain("delta", delta)
     return float(delta) ** (-1.0 / 3.0)
 
 
 def b_to_delta(b: float) -> float:
-    """Coupling parameter of a side of length b, delta = b**(-3)."""
-    _check_positive(b=b)
+    """Coupling parameter delta = b**(-3) in [1e-9, 1e9] of a side b in [1e-3, 1e3]."""
+    _check_domain("b", b, _SIDE_DOMAIN)
     return float(b) ** (-3.0)
 
 
@@ -128,9 +148,10 @@ def layout_rectangle(b: float, field_mode: str) -> NodeLayout:
     node 1.  field_mode selects FIELD_PERPENDICULAR (field normal to the
     plane) or FIELD_ALONG_B (field parallel to the 1-4 side); the field
     axis is +z in both embeddings, so the rectangle sits in the x-y
-    plane for the former and in the x-z plane for the latter.
+    plane for the former and in the x-z plane for the latter.  b must be a
+    real number in [1e-3, 1e3].
     """
-    _check_positive(b=b)
+    _check_domain("b", b, _SIDE_DOMAIN)
     if field_mode == FIELD_PERPENDICULAR:
         pos = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, b, 0.0], [0.0, b, 0.0]]
     elif field_mode == FIELD_ALONG_B:
@@ -144,9 +165,11 @@ def layout_parallelepiped(b1: float, b2: float) -> NodeLayout:
     """Right parallelepiped: base rectangle 1-2-3-4 (sides 1 and b1) in
     the x-y plane, nodes 5-8 the same rectangle shifted by b2 along +z.
 
-    The field axis is +z, parallel to the 1-5 edge of length b2.
+    The field axis is +z, parallel to the 1-5 edge of length b2.  Both
+    sides must be real numbers in [1e-3, 1e3].
     """
-    _check_positive(b1=b1, b2=b2)
+    _check_domain("b1", b1, _SIDE_DOMAIN)
+    _check_domain("b2", b2, _SIDE_DOMAIN)
     base = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, b1, 0.0], [0.0, b1, 0.0]]
     )

@@ -81,12 +81,12 @@ def sign_basis(s: int) -> np.ndarray:
     """Orthonormal sign basis of dimension 2**s, one vector per row.
 
     Built by the doubling rule B_2M = ((1,1) x B_M, (1,-1) x B_M) / sqrt 2
-    from B_1 = {(1)}; every component has magnitude 2**(-s/2).  For
-    s = 1, 2 and 3 the rows are the eigenvectors of the pair, rectangle
+    from B_1 = {(1)}; every component has magnitude 2**(-s/2).  s must be
+    1, 2 or 3, where the rows are the eigenvectors of the pair, rectangle
     and parallelepiped, on which _sign_spectrum is built.
     """
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 1 <= s <= 10:
-        raise ValueError(f"s must be an integer in [1, 10], got {s!r}")
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 1 <= s <= 3:
+        raise ValueError(f"s must be an integer in [1, 3], got {s!r}")
     basis = np.ones((1, 1))
     for _ in range(s):
         basis = np.vstack(

@@ -19,6 +19,7 @@ diagonalize numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -38,6 +39,7 @@ from .entanglement import negativity_grid
 from .geometry import (
     FIELD_ALONG_B,
     FIELD_PERPENDICULAR,
+    _check_domain,
     delta_to_b,
     layout_chain2,
     layout_parallelepiped,
@@ -104,50 +106,31 @@ def coupling_rows(kind: str, params) -> np.ndarray:
     parameters (KINDS) in order, so (G, 0) for 'chain2'.  The closed forms
     equal coupling_matrix(System(kind, ...).layout()).d[0] up to roundoff
     and are elementwise, so a row does not depend on the others.  An
-    unknown kind, a params array of another shape, a parameter that is
-    not finite and positive, or one so small or large that the row
-    overflows or divides by zero raises ValueError.
+    unknown kind, a params array of another shape, or a parameter that is
+    not a real number in the coupling domain [1e-9, 1e9] raises
+    ValueError (naming the kind, the parameter and the first such value);
+    inside the domain every row is finite.
     """
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown system kind {kind!r}")
     n_nodes, names = KINDS[kind]
-    params = np.asarray(params, dtype=float)
-    if params.ndim != 2 or params.shape[1] != len(names):
+    array = np.asarray(params)
+    if array.ndim != 2 or array.shape[1] != len(names):
         raise ValueError(
-            f"{kind} params must have shape (G, {len(names)}) for {names}, got {params.shape}"
+            f"{kind} params must have shape (G, {len(names)}) for {names}, got {array.shape}"
         )
-    valid = (params > 0) & (params < np.inf)
-    if not valid.all():
-        point, column = np.argwhere(~valid)[0]
-        raise ValueError(
-            f"{kind} {names[column]} must be finite and positive, got {float(params[point, column])!r}"
-        )
-    try:
-        columns = _row_columns(kind, params)
-    except FloatingPointError:
-        # halve the points down to the first one whose row fails, to name it
-        lo, hi = 0, len(params)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _row_columns(kind, params[lo:mid])
-                lo = mid
-            except FloatingPointError:
-                hi = mid
-        values = ", ".join(f"{name}={value!r}" for name, value in zip(names, params[lo].tolist()))
-        raise ValueError(f"{kind} coupling row leaves the floating-point range at {values}") from None
-    rows = np.zeros((params.shape[0], n_nodes))
-    for g, column in enumerate(columns, start=1):
+    _check_domain([f"{kind} {name}" for name in names], params)
+    rows = np.zeros((array.shape[0], n_nodes))
+    for g, column in enumerate(_ROW_FORMS[kind](*array.astype(float, copy=False).T), start=1):
         rows[:, g] = column
     return rows
 
 
-def _row_columns(kind: str, params: np.ndarray) -> tuple:
-    """The columns d_12 .. d_1N of _ROW_FORMS[kind] at params, with an
-    overflow, a division by zero or an invalid operation raising
-    FloatingPointError."""
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        return _ROW_FORMS[kind](*params.T)
+def _check_angles(rows: np.ndarray, tau_max: float) -> None:
+    """Require the kernel angles d_1g tau of the rows, |tau| <= tau_max, to be finite."""
+    coupling, tau_max = float(np.abs(rows).max()), float(tau_max)
+    if not math.isfinite(coupling * tau_max):
+        raise ValueError(f"angle d_1g tau overflows: max|d_1g| {coupling!r} x tau {tau_max!r}")
 
 
 # Points x N x tau samples of the probability block a sweep evaluates at
@@ -179,8 +162,9 @@ class System:
     rectangle with side b = delta**(-1/3), field perpendicular to the
     plane or along side b) and 'box' (rectangular parallelepiped, delta1
     for the in-plane side and delta2 for the height).  The coupling
-    parameters a kind requires (KINDS) must be finite positive real
-    numbers, not bools; the others must be None.
+    parameters a kind requires (KINDS) must be real numbers, not bools,
+    in the coupling domain [1e-9, 1e9] (sides b in [1e-3, 1e3]); the
+    others must be None.
     """
 
     kind: str
@@ -201,9 +185,7 @@ class System:
             elif name not in need:
                 raise ValueError(f"{self.kind} takes no {name}")
             else:
-                _check_finite(**{name: value})
-                if not value > 0:
-                    raise ValueError(f"{name} must be positive, got {value!r}")
+                _check_domain(name, value)
         _check_node(self.k0, self.n_nodes)
 
     @property
@@ -232,12 +214,14 @@ class System:
     def probability_grid(self, taus: np.ndarray) -> np.ndarray:
         """P_{k0 m}(tau_i) as an (N, len(taus)) array, from the closed-form
         coupling row through dynamics.sign_probability_grid.  Every tau
-        must be finite."""
+        must be finite, and so must every angle d_1g tau."""
         taus = np.asarray(taus, dtype=float)
-        finite = np.isfinite(taus)
-        if not finite.all():
-            raise ValueError(f"taus must be finite, got {float(taus[~finite][0])!r}")
-        return sign_probability_grid(self._row(), self.k0, taus)[0]
+        tau_max = float(np.abs(taus).max(initial=0.0))
+        if not math.isfinite(tau_max):
+            raise ValueError(f"taus must be finite, got {float(taus[~np.isfinite(taus)][0])!r}")
+        row = self._row()
+        _check_angles(row, tau_max)
+        return sign_probability_grid(row, self.k0, taus)[0]
 
 
 @dataclass(frozen=True)
@@ -273,18 +257,18 @@ class SweepResult:
 
 def _uniform_grid(name: str, bounds, step_name: str, step, strict: bool) -> np.ndarray:
     """The delta grid lo + i * step of dynamics._uniform, after checking
-    the range argument called name (exactly two finite real bounds) and
-    the step argument called step_name."""
+    the range argument called name (exactly two bounds in the coupling
+    domain) and the step argument called step_name."""
     if np.shape(bounds) != (2,):
         raise ValueError(f"a range must be two bounds (lo, hi), got {bounds!r}")
-    _check_finite(**{f"{name}[0]": bounds[0], f"{name}[1]": bounds[1], step_name: step})
+    _check_domain(f"{name}[0]", bounds[0])
+    _check_domain(f"{name}[1]", bounds[1])
+    _check_finite(**{step_name: step})
     lo, hi, step = float(bounds[0]), float(bounds[1]), float(step)
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo or (strict and hi <= lo):
         raise ValueError(f"degenerate range [{lo}, {hi}]")
-    if lo <= 0:
-        raise ValueError(f"coupling parameters must be positive, got a range starting at {lo!r}")
     return _uniform(lo, hi, step)
 
 
@@ -428,6 +412,10 @@ def _sweep(kind: str, grid, T: float, dtau: float, P0: float, margin: float, wit
             f"= {work:.3g}, cap is {_MAX_SWEEP_WORK:.3g}"
         )
     params = grid.reshape(len(grid), -1)
+    # max|d_1g| is max(1, delta) for rect-perp, max(1, 2 delta) for
+    # rect-along and max(1, delta1, 2 delta2) for the box, so the last grid
+    # point, at the top of every range, has the largest angles.
+    _check_angles(coupling_rows(kind, params[-1:]), taus[-1])
     fp = np.empty(len(grid))
     fn = np.empty(len(grid)) if with_fn else None
     samples = 0
@@ -436,9 +424,10 @@ def _sweep(kind: str, grid, T: float, dtau: float, P0: float, margin: float, wit
     # on at most two segments the coarse pass skips next to nothing and
     # only adds kernel calls (1.3 to 2.2 times the dense time at 21 samples).
     all_dense = with_fn or taus.size <= 2 * _COARSE_STRIDE + 1
+    h = _COARSE_STRIDE * float(dtau)  # h * h, unlike h ** 2, overflows to inf, not OverflowError
     for block in _blocks(np.arange(len(grid)), n_nodes * coarse.size):
         rows = coupling_rows(kind, params[block])
-        dense = all_dense | (_sign_curvature(rows) * (_COARSE_STRIDE * dtau) ** 2 / 8.0 >= 1.0)
+        dense = all_dense | (_sign_curvature(rows) * (h * h) / 8.0 >= 1.0)
         for part in _blocks(np.flatnonzero(dense), n_nodes * taus.size):
             probs = sign_probability_grid(rows[part], 1, taus)
             samples += probs.size

@@ -9,7 +9,8 @@ closed-form and spectra suites diagonalize real layouts with eigh, so
 every analytic formula, the closed-form rows included, is checked
 against an independent route.  The closed-form suite also checks the
 sign kernel behind System.probability_grid, the route of every sweep,
-peak and CSV, against the pair, degenerate-rectangle and cube formulas.
+peak and CSV, against the pair, rectangle (at its two degenerate points,
+|d14| = 1) and cube formulas.
 The oracle suites evolve System.spectrum(), since there the oracle is
 the reference.  Randomized draws use a fixed seed so runs are
 reproducible.
@@ -76,8 +77,8 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
 
     Every closed form is compared with the eigh route on its layout
     (amplitude_grid, dtau = 0.01); the pair, the two degenerate
-    rectangles and the cube are compared with the sign kernel
-    (System.probability_grid) on the same grid as well.
+    rectangles (rect_P at |d14| = 1) and the cube are compared with the
+    sign kernel (System.probability_grid) on the same grid as well.
     """
     rng = np.random.default_rng(_SEED)
     dtau = 0.01
@@ -110,7 +111,7 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
 
     for kind, delta in (("rect-perp", 1.0), ("rect-along", 0.5)):
         degenerate = System(kind, delta=delta)
-        both_routes(degenerate, 60.0, lambda taus, d: closedforms.rect_degenerate_P(taus, d[2]))
+        both_routes(degenerate, 60.0, lambda taus, d: closedforms.rect_P(taus, d[2], d[3]))
     both_routes(System("box", delta1=1.0, delta2=1.0), 60.0, lambda taus, d: closedforms.cube_P(taus))
 
     return _result("closed-forms", dev, 1e-10)

@@ -261,8 +261,8 @@ def test_sweep_names_missing_range_flag(tmp_path, capsys):
 @pytest.mark.parametrize(
     "range_flags, message",
     [
-        (["--delta-min", "0", "--delta-max", "2"], "starting at 0.0"),
-        (["--delta-min", "-1", "--delta-max", "2"], "starting at -1.0"),
+        (["--delta-min", "0", "--delta-max", "2"], "delta_range[0] must be a real number in [1e-09, 1e+09], got 0.0"),
+        (["--delta-min", "-1", "--delta-max", "2"], "delta_range[0] must be a real number in [1e-09, 1e+09], got -1.0"),
         # 100001 points x 100001 tau samples x 4 nodes, refused before evaluation
         (["--delta-min", "1", "--delta-max", "2", "--delta-step", "1e-5", "--dtau", "0.001"],
          "cap is 1e+10"),
@@ -350,7 +350,7 @@ def test_coupling_row_out_of_range_is_usage_error(tmp_path, capsys):
     code = main(["simulate", "--system", "rect-along", "--delta", "1e-300", "--T", "1",
                  "--dtau", "0.5", "--out", str(out)])
     assert code == 2
-    assert "rect-along coupling row leaves the floating-point range at delta=1e-300" in capsys.readouterr().err
+    assert "delta must be a real number in [1e-09, 1e+09], got 1e-300" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -401,11 +401,13 @@ def _child_env():
     """Environment whose PYTHONPATH starts with the source tree this suite imported.
 
     A child interpreter then runs the same spintransfer as the in-process
-    tests, whatever copy is installed and however the suite was launched.
+    tests, whatever copy is installed and however the suite was launched,
+    and turns every RuntimeWarning into an error, as the suite does.
     """
     src = str(Path(spintransfer.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import eigh_spectrum
-from spintransfer.closedforms import cube_P, rect_P, rect_degenerate_P, two_node_P
+from spintransfer.closedforms import cube_P, rect_P, two_node_P
 from spintransfer.dynamics import amplitude_grid, tau_grid
 from spintransfer.geometry import coupling_matrix
 from spintransfer.search import KINDS, System, coupling_rows
@@ -39,12 +39,13 @@ def test_rect_normalization_identity(tau, d13, d14):
 @settings(max_examples=200, deadline=None)
 @given(tau=taus, d13=couplings)
 def test_rect_degenerate_consistency(tau, d13):
-    assert sum(rect_degenerate_P(tau, d13)) == pytest.approx(1.0, abs=1e-12)
-    # the degenerate form is the general one at d14 = +-1
+    # at d14 = +-1 nodes 2 and 4 are equivalent, and P_12 = sin(tau)**2 / 4
     for d14 in (1.0, -1.0):
-        full = rect_P(tau, d13, d14)
-        reduced = rect_degenerate_P(tau, d13)
-        assert np.allclose(full, reduced, atol=1e-12)
+        p11, p12, p13, p14 = rect_P(tau, d13, d14)
+        assert p11 + p12 + p13 + p14 == pytest.approx(1.0, abs=1e-12)
+        assert p12 == pytest.approx(p14, abs=1e-12)
+        assert p12 == pytest.approx(np.sin(tau) ** 2 / 4.0, abs=1e-12)
+        assert p12 <= 0.25 + 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -88,8 +89,11 @@ def test_degenerate_rect_matches_spectral_path(kind, delta):
     sys = System(kind, delta=delta)
     d = coupling_matrix(sys.layout()).d
     assert abs(abs(d[0, 3]) - 1.0) < 1e-12
-    expected = np.stack(rect_degenerate_P(GRID, d[0, 2]))
+    expected = np.stack(rect_P(GRID, d[0, 2], d[0, 3]))
     assert np.abs(_spectral(sys) - expected).max() < 1e-10
+    # nodes 2 and 4 are equivalent, with P = sin(tau)**2 / 4 <= 1/4
+    assert np.abs(expected[1] - expected[3]).max() <= 1e-12
+    assert np.abs(expected[1] - np.sin(GRID) ** 2 / 4.0).max() <= 1e-12
 
 
 def test_cube_matches_spectral_path():
@@ -103,8 +107,8 @@ def test_cube_matches_spectral_path():
         ("chain2", (), lambda g, d: two_node_P(g), 1e-14),
         ("rect-perp", (4.3,), lambda g, d: rect_P(g, d[2], d[3]), 1e-14),
         ("rect-along", (2.0,), lambda g, d: rect_P(g, d[2], d[3]), 1e-14),
-        ("rect-perp", (1.0,), lambda g, d: rect_degenerate_P(g, d[2]), 1e-14),
-        ("rect-along", (0.5,), lambda g, d: rect_degenerate_P(g, d[2]), 1e-14),
+        ("rect-perp", (1.0,), lambda g, d: rect_P(g, d[2], d[3]), 1e-14),
+        ("rect-along", (0.5,), lambda g, d: rect_P(g, d[2], d[3]), 1e-14),
         ("box", (1.0, 1.0), lambda g, d: cube_P(g), 1e-13),
     ],
 )

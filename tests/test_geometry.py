@@ -1,5 +1,7 @@
 """Layouts, the delta parameterization, and dipolar couplings."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,22 +33,36 @@ def test_delta_b_round_trip():
 
 def test_delta_to_b_rejects_nonpositive():
     for value in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="delta must be finite and positive"):
+        with pytest.raises(ValueError, match=re.escape(f"delta must be a real number in [1e-09, 1e+09], got {value!r}")):
             delta_to_b(value)
-        with pytest.raises(ValueError, match="b must be finite and positive"):
+        with pytest.raises(ValueError, match=re.escape(f"b must be a real number in [0.001, 1000], got {value!r}")):
             b_to_delta(value)
 
 
 @pytest.mark.parametrize("side", [0.0, -1.0, np.nan, np.inf])
 def test_layouts_reject_non_finite_and_nonpositive_sides(side):
     # a NaN side gave NaN positions, an infinite one inf positions
+    domain = f"must be a real number in [0.001, 1000], got {side!r}"
     for mode in (FIELD_PERPENDICULAR, FIELD_ALONG_B):
-        with pytest.raises(ValueError, match="b must be finite and positive"):
+        with pytest.raises(ValueError, match=re.escape(f"b {domain}")):
             layout_rectangle(side, mode)
-    with pytest.raises(ValueError, match="b1 must be finite and positive"):
+    with pytest.raises(ValueError, match=re.escape(f"b1 {domain}")):
         layout_parallelepiped(side, 1.0)
-    with pytest.raises(ValueError, match="b2 must be finite and positive"):
+    with pytest.raises(ValueError, match=re.escape(f"b2 {domain}")):
         layout_parallelepiped(1.0, side)
+
+
+def test_conversions_stay_inside_the_domain_at_its_edges():
+    # b = delta**(-1/3) maps [1e-9, 1e9] onto [1e-3, 1e3]; each edge and
+    # its round trip land inside the other domain, never a rounding past it
+    assert [delta_to_b(x) for x in (1e-9, 1e9)] == [999.9999999999995, 0.0010000000000000005]
+    assert [b_to_delta(y) for y in (1e-3, 1e3)] == [999999999.9999999, 1e-09]
+    for x in (1e-9, 1e9):
+        assert 1e-9 <= b_to_delta(delta_to_b(x)) <= 1e9
+    for y in (1e-3, 1e3):
+        assert 1e-3 <= delta_to_b(b_to_delta(y)) <= 1e3
+    assert [b_to_delta(delta_to_b(x)) for x in (1e-9, 1e9)] == [1.0000000000000013e-09, 999999999.9999987]
+    assert [delta_to_b(b_to_delta(y)) for y in (1e-3, 1e3)] == [0.0010000000000000005, 999.9999999999995]
 
 
 def test_chain2_coupling_is_unity():

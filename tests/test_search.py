@@ -129,11 +129,11 @@ def test_coupling_rows_rejects_unknown_kind_and_wrong_shape(kind, params, messag
 @pytest.mark.parametrize(
     "kind, params, message",
     [
-        ("rect-perp", [[np.nan]], "rect-perp delta must be finite and positive, got nan"),
-        ("rect-along", [[0.0]], "rect-along delta must be finite and positive, got 0.0"),
-        ("rect-perp", [[-1.0]], "rect-perp delta must be finite and positive, got -1.0"),
-        ("rect-along", [[2.0], [np.inf]], "rect-along delta must be finite and positive, got inf"),
-        ("box", [[1.0, 2.0], [3.0, -np.inf]], "box delta2 must be finite and positive, got -inf"),
+        ("rect-perp", [[np.nan]], "rect-perp delta must be a real number in [1e-09, 1e+09], got nan"),
+        ("rect-along", [[0.0]], "rect-along delta must be a real number in [1e-09, 1e+09], got 0.0"),
+        ("rect-perp", [[-1.0]], "rect-perp delta must be a real number in [1e-09, 1e+09], got -1.0"),
+        ("rect-along", [[2.0], [np.inf]], "rect-along delta must be a real number in [1e-09, 1e+09], got inf"),
+        ("box", [[1.0, 2.0], [3.0, -np.inf]], "box delta2 must be a real number in [1e-09, 1e+09], got -inf"),
     ],
 )
 def test_coupling_rows_rejects_bad_parameters(kind, params, message):
@@ -146,17 +146,18 @@ def test_coupling_rows_rejects_bad_parameters(kind, params, message):
 @pytest.mark.parametrize(
     "kind, params, message",
     [
-        ("rect-along", [[1e-300]], "rect-along coupling row leaves the floating-point range at delta=1e-300"),
-        ("box", [[1e-300, 1e-300]], "box coupling row leaves the floating-point range at delta1=1e-300, delta2=1e-300"),
-        ("box", [[1e300, 1e300]], "box coupling row leaves the floating-point range at delta1=1e+300, delta2=1e+300"),
-        # the first failing point of many is named
+        ("rect-along", [[1e-300]], "rect-along delta must be a real number in [1e-09, 1e+09], got 1e-300"),
+        ("box", [[1e-300, 1e-300]], "box delta1 must be a real number in [1e-09, 1e+09], got 1e-300"),
+        ("box", [[1e300, 1e300]], "box delta1 must be a real number in [1e-09, 1e+09], got 1e+300"),
+        # the first value outside the domain, in row order, is named
         ("box", [[1.0, 2.0], [1e300, 1.0], [3.0, 4.0], [1e-300, 1.0], [1e300, 1e300]],
-         "box coupling row leaves the floating-point range at delta1=1e-300, delta2=1.0"),
+         "box delta1 must be a real number in [1e-09, 1e+09], got 1e+300"),
     ],
 )
 def test_coupling_rows_rejects_rows_out_of_range(kind, params, message):
     # rect-along at 1e-300 overflowed in a power and gave d_13 = 0 with a
-    # RuntimeWarning; the boxes divided by zero and held -inf
+    # RuntimeWarning; the boxes divided by zero and held -inf.  Such
+    # parameters lie outside the coupling domain.
     with pytest.raises(ValueError, match=re.escape(message)):
         coupling_rows(kind, params)
 
@@ -482,11 +483,12 @@ def test_sweep_work_cap():
 
 @pytest.mark.parametrize("lo", [0.0, -1.0])
 def test_sweeps_reject_non_positive_delta(lo):
-    with pytest.raises(ValueError, match=f"positive, got a range starting at {lo!r}"):
+    message = f"must be a real number in [1e-09, 1e+09], got {lo!r}"
+    with pytest.raises(ValueError, match=re.escape(f"delta_range[0] {message}")):
         sweep1d(FIELD_ALONG_B, (lo, 2.0), 0.1, 1.0, 0.1)
-    with pytest.raises(ValueError, match=f"starting at {lo!r}"):
+    with pytest.raises(ValueError, match=re.escape(f"delta1_range[0] {message}")):
         sweep2d((lo, 2.0), (1.0, 2.0), 0.1, 1.0, 0.1)
-    with pytest.raises(ValueError, match=f"starting at {lo!r}"):
+    with pytest.raises(ValueError, match=re.escape(f"delta2_range[0] {message}")):
         sweep2d((1.0, 2.0), (lo, 2.0), 0.1, 1.0, 0.1)
 
 
@@ -504,8 +506,8 @@ def test_sweeps_require_exactly_two_bounds(bounds):
     "args, kwargs, message",
     [
         (((1.0, 2.0), (0.1,), 1.0, 0.1), {}, "delta_step must be a real number, got (0.1,)"),
-        (((1.0, None), 0.1, 1.0, 0.1), {}, "delta_range[1] must be a real number, got None"),
-        ((("1", 2.0), 0.1, 1.0, 0.1), {}, "delta_range[0] must be a real number, got '1'"),
+        (((1.0, None), 0.1, 1.0, 0.1), {}, "delta_range[1] must be a real number in [1e-09, 1e+09], got None"),
+        ((("1", 2.0), 0.1, 1.0, 0.1), {}, "delta_range[0] must be a real number in [1e-09, 1e+09], got '1'"),
         (((1.0, 2.0), 0.1, "1", 0.1), {}, "T must be a real number, got '1'"),
         (((1.0, 2.0), 0.1, 1.0, None), {}, "dtau must be a real number, got None"),
         (((1.0, 2.0), 0.1, 1.0, 0.1), {"P0": "0.9"}, "P0 must be a real number, got '0.9'"),
@@ -523,8 +525,8 @@ def test_sweep1d_rejects_non_numbers(args, kwargs, message):
     [
         (((1.0, 2.0), (1.0, 2.0), (0.5, "a"), 1.0, 0.1), {}, "steps[1] must be a real number, got 'a'"),
         (((1.0, 2.0), (1.0, 2.0), None, 1.0, 0.1), {}, "steps[0] must be a real number, got None"),
-        (((1.0, 2.0), (None, 2.0), 0.5, 1.0, 0.1), {}, "delta2_range[0] must be a real number, got None"),
-        (((1.0, "2"), (1.0, 2.0), 0.5, 1.0, 0.1), {}, "delta1_range[1] must be a real number, got '2'"),
+        (((1.0, 2.0), (None, 2.0), 0.5, 1.0, 0.1), {}, "delta2_range[0] must be a real number in [1e-09, 1e+09], got None"),
+        (((1.0, "2"), (1.0, 2.0), 0.5, 1.0, 0.1), {}, "delta1_range[1] must be a real number in [1e-09, 1e+09], got '2'"),
         (((1.0, 2.0), (1.0, 2.0), 0.5, 1.0, "0.1"), {}, "dtau must be a real number, got '0.1'"),
         (((1.0, 2.0), (1.0, 2.0), 0.5, 1.0, 0.1), {"P0": None}, "P0 must be a real number, got None"),
     ],

@@ -82,6 +82,20 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {name}={value!r}")
 
 
+def _check_angles(rate: float, tau_max: float, name: str = "d_1g") -> None:
+    """Require every angle x tau, |x| <= rate and |tau| <= tau_max, to be
+    finite; name is x's symbol in the message."""
+    rate, tau_max = float(rate), float(tau_max)
+    if not math.isfinite(rate * tau_max):
+        raise ValueError(f"angle {name} tau overflows: max|{name}| {rate!r} x tau {tau_max!r}")
+
+
+def _extreme_eigenvalue(spectrum: Spectrum) -> float:
+    """max_j |lambda_j|, read off the ends of the ascending eigenvalues."""
+    lam = spectrum.eigenvalues
+    return max(abs(lam[0]), abs(lam[-1]))
+
+
 def _uniform(lo: float, hi: float, step: float) -> np.ndarray:
     """lo + i * step for i = 0..floor((hi - lo) / step), each point the
     direct product, not an accumulated sum, and clipped to hi."""
@@ -119,9 +133,11 @@ def amplitude_grid(spectrum: Spectrum, k0: int, T: float, dtau: float) -> np.nda
     factor at tau_{qB} and a fine one at tau_r, so each eigenvalue takes
     B + ceil(K / B) complex exponentials instead of K.  The last point,
     which tau_grid may have clipped to T, is evaluated at its own time.
+    Every angle lambda_j tau_i must be finite.
     """
     _check_node(k0, spectrum.n_nodes)
     taus = tau_grid(T, dtau)
+    _check_angles(_extreme_eigenvalue(spectrum), taus[-1], "lambda_j")
     k = taus.size
     b = math.isqrt(k - 1) + 1
     u, lam = spectrum.eigenvectors, spectrum.eigenvalues
@@ -242,11 +258,13 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
 
 
 def evolve(spectrum: Spectrum, k0: int, tau: float) -> TransferState:
-    """State of the excitation at a single time tau, which must be finite."""
+    """State of the excitation at a single time tau, which must be finite,
+    and so must every angle lambda_j tau."""
     tau = float(tau)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
     _check_node(k0, spectrum.n_nodes)
+    _check_angles(_extreme_eigenvalue(spectrum), abs(tau), "lambda_j")
     u = spectrum.eigenvectors
     amp = (u * u[k0 - 1]) @ np.exp(-0.5j * spectrum.eigenvalues * tau)
     return TransferState(tau=tau, k0=k0, amplitudes=amp, probabilities=np.abs(amp) ** 2)

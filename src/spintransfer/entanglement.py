@@ -6,13 +6,16 @@ the single-excitation density-matrix elements, S_X the total transfer
 probability carried by part X and sigma the probability left outside
 A u B.  Both come with brute-force oracles: the concurrence via the
 spin-flipped two-qubit reduced density matrix, the negativity via an
-explicit partial transpose of the full reduced density matrix on A u B,
-of which only the non-zero support is diagonalized: at most
-1 + m + m1 m2 of the 2^m states, m1 = |A|, m2 = |B|, m = m1 + m2.
+explicit partial transpose of the reduced density matrix on A u B, built
+entry by entry from the (m + 1)^2 entries between the empty state and
+the m single excitations (no 2^m x 2^m array), of which only the
+non-zero support is diagonalized: at most 1 + m + m1 m2 of the 2^m
+states, m1 = |A|, m2 = |B|, m = m1 + m2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,40 +154,61 @@ def negativity(state: TransferState, p: Bipartition) -> float:
     return float(negativity_grid(*p.weights(state.probabilities)))
 
 
+# Cached: building the positions takes as long as the rest of a small call.
+@functools.cache
+def _transposed_positions(m: int, m1: int):
+    """Where transposing the first m1 of m spins moves the reduced density
+    matrix's (m + 1)^2 entries between the empty state and the m single
+    excitations, in that order, state t + 1 having factor t excited.
+
+    Entry (i, j) moves to ((i & ~A) | (j & A), (j & ~A) | (i & A)), A the
+    bit mask of the first m1 factors.  Returns (size, row_at, col_at):
+    the number of states the moved entries reach, 1 + m + m1 (m - m1),
+    and the (m + 1, m + 1) arrays of each entry's row and column in the
+    size x size block over those states in ascending state order.
+    """
+    states = np.zeros(m + 1, dtype=np.int64)
+    states[1:] = 1 << np.arange(m - 1, -1, -1)
+    a_mask = ((1 << m1) - 1) << (m - m1)
+    i, j = states[:, None], states[None, :]
+    moved = np.stack([(i & ~a_mask) | (j & a_mask), (j & ~a_mask) | (i & a_mask)])
+    targets, where = np.unique(moved, return_inverse=True)
+    return targets.size, *where.reshape(moved.shape)
+
+
 def negativity_oracle(state: TransferState, p: Bipartition) -> float:
     """Double negativity by explicit partial transposition.
 
-    Constructs the full 2^m x 2^m reduced density matrix on A u B (m
-    nodes) -- a pure part from the amplitudes on those nodes plus the
-    traced-out weight sigma on the no-excitation state -- transposes the
-    A spins, and returns twice the absolute sum of the negative
-    eigenvalues.  Only the rows and columns of the partial transpose that
-    are not identically zero are diagonalized: the dropped ones carry
-    exact zero eigenvalues.  The support is read off the matrix itself;
-    for a single excitation it holds at most 1 + m + m1 m2 states (the
-    empty state, the m single excitations and one A-B pair per m1 x m2),
-    25 of 256 for a box.
+    The reduced density matrix on A u B (m nodes, 2^m states) is a pure
+    part from the amplitudes on those nodes plus the traced-out weight
+    sigma on the no-excitation state, so only its (m + 1)^2 entries
+    between the empty state and the m single excitations can be non-zero:
+    the outer product of their amplitudes, with sigma added at <0|0>.
+    Transposing the A spins moves each entry (i, j) to
+    ((i & ~A) | (j & A), (j & ~A) | (i & A)), A the bit mask of the A
+    spins, onto 1 + m + m1 m2 states: the empty state, the m single
+    excitations and one A-B pair per m1 x m2 (25 of 256 for a box).  Of
+    these, the states whose rows and columns are not identically zero
+    are kept, in ascending state order, and diagonalized; the rest of the
+    partial transpose carries exact zero eigenvalues, so no 2^m x 2^m
+    array is built.  Returns twice the absolute sum of the negative
+    eigenvalues.
     """
     p._check_nodes(state.n_nodes)
     nodes = p.a + p.b
     m = len(nodes)
     if m > _MAX_ORACLE_NODES:
         raise ValueError(f"bipartition spans {m} nodes, oracle cap is {_MAX_ORACLE_NODES}")
-    m1 = len(p.a)
-    dim = 2**m
-    # Pure part: factor t excited iff the excitation sits on nodes[t].
-    v = np.zeros(dim, dtype=complex)
-    for t, node in enumerate(nodes):
-        v[1 << (m - 1 - t)] = state.amplitudes[node - 1]
+    idx = [k - 1 for k in nodes]
+    v = np.zeros(m + 1, dtype=complex)
+    v[1:] = state.amplitudes[idx]
     rho = np.outer(v, np.conj(v))
-    rho[0, 0] += 1.0 - state.probabilities[[k - 1 for k in nodes]].sum()
-    # Transpose the first m1 tensor factors (the A spins).
-    t_rho = rho.reshape((2,) * (2 * m))
-    for t in range(m1):
-        t_rho = np.swapaxes(t_rho, t, m + t)
-    t_rho = t_rho.reshape(dim, dim)
+    rho[0, 0] += 1.0 - state.probabilities[idx].sum()
+    size, row_at, col_at = _transposed_positions(m, len(p.a))
+    t_rho = np.zeros((size, size), dtype=complex)
+    t_rho[row_at, col_at] = rho
     # A row that is identically zero (and so its column: t_rho is
     # Hermitian) only adds an exact eigenvalue 0, which the floor ignores.
-    keep = np.flatnonzero(t_rho.any(axis=0))
-    ev = np.linalg.eigvalsh(t_rho[np.ix_(keep, keep)])
+    keep = t_rho.any(axis=0).nonzero()[0]
+    ev = np.linalg.eigvalsh(t_rho[keep[:, None], keep])
     return float(2.0 * abs(ev[ev < _NEGATIVE_FLOOR].sum()))

@@ -27,6 +27,7 @@ import numpy as np
 
 from .dynamics import (
     _MAX_GRID_POINTS,
+    _check_angles,
     _check_finite,
     _check_node,
     _sign_curvature,
@@ -126,13 +127,6 @@ def coupling_rows(kind: str, params) -> np.ndarray:
     return rows
 
 
-def _check_angles(rows: np.ndarray, tau_max: float) -> None:
-    """Require the kernel angles d_1g tau of the rows, |tau| <= tau_max, to be finite."""
-    coupling, tau_max = float(np.abs(rows).max()), float(tau_max)
-    if not math.isfinite(coupling * tau_max):
-        raise ValueError(f"angle d_1g tau overflows: max|d_1g| {coupling!r} x tau {tau_max!r}")
-
-
 # Points x N x tau samples of the probability block a sweep evaluates at
 # once; a point whose own grid is larger takes a block by itself.
 _BLOCK_ELEMENTS = 2**16
@@ -220,7 +214,7 @@ class System:
         if not math.isfinite(tau_max):
             raise ValueError(f"taus must be finite, got {float(taus[~np.isfinite(taus)][0])!r}")
         row = self._row()
-        _check_angles(row, tau_max)
+        _check_angles(np.abs(row).max(), tau_max)
         return sign_probability_grid(row, self.k0, taus)[0]
 
 
@@ -415,7 +409,7 @@ def _sweep(kind: str, grid, T: float, dtau: float, P0: float, margin: float, wit
     # max|d_1g| is max(1, delta) for rect-perp, max(1, 2 delta) for
     # rect-along and max(1, delta1, 2 delta2) for the box, so the last grid
     # point, at the top of every range, has the largest angles.
-    _check_angles(coupling_rows(kind, params[-1:]), taus[-1])
+    _check_angles(np.abs(coupling_rows(kind, params[-1:])).max(), taus[-1])
     fp = np.empty(len(grid))
     fn = np.empty(len(grid)) if with_fn else None
     samples = 0

@@ -6,13 +6,21 @@ raises ValueError in one message form, and the CLI exits 2.
 """
 
 import re
+import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 
 from spintransfer.cli import main
-from spintransfer.dynamics import _sign_curvature, _sign_rounding, sign_probability_grid, tau_grid
+from spintransfer.dynamics import (
+    _sign_curvature,
+    _sign_rounding,
+    amplitude_grid,
+    evolve,
+    sign_probability_grid,
+    tau_grid,
+)
 from spintransfer.geometry import b_to_delta, delta_to_b, layout_parallelepiped, layout_rectangle
 from spintransfer.search import KINDS, System, coupling_rows, fp_value, hpst_times, sweep1d, sweep2d
 
@@ -169,6 +177,24 @@ def test_angle_overflow_is_refused():
     # the box's largest coupling is -2 delta2, at the top of the delta2 range
     with pytest.raises(ValueError, match=ANGLE):
         sweep2d((1.0, 1.0), (1.0, 1e9), 1e9, 1e300, 1e297)
+
+
+def test_eigenvalue_angle_overflow_is_refused():
+    # evolve returned NaN probabilities with an invalid-value RuntimeWarning
+    # and amplitude_grid warned of an overflow; max|lambda_j| = 24.69 here
+    spectrum = System("rect-along", delta=4.3).spectrum()
+    message = re.escape("angle lambda_j tau overflows: max|lambda_j| 24.69")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (1e308, -1e308, 1e307):
+            with pytest.raises(ValueError, match=message):
+                evolve(spectrum, 1, tau)
+        with pytest.raises(ValueError, match=message + ".* x tau 1e\\+308"):
+            amplitude_grid(spectrum, 1, 1e308, 1e303)
+        # the angles stay finite just below the float range: no error, no warning
+        state = evolve(spectrum, 1, 1e306)
+        assert abs(state.probabilities.sum() - 1.0) < 1e-12
+        assert np.isfinite(amplitude_grid(spectrum, 1, 1e306, 1e301)).all()
 
 
 def test_huge_finite_angles_are_evaluated():

@@ -1,6 +1,7 @@
 """Concurrence and negativity closed forms against their oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,21 @@ def test_support_oracle_matches_full_matrix_at_ten_nodes():
     state = _random_state(np.random.default_rng(10), 10)
     part = Bipartition((2, 4, 6, 8, 10), (1, 3, 5, 7, 9))
     assert negativity_oracle(state, part) == pytest.approx(_full_matrix_oracle(state, part), abs=1e-12)
+
+
+def test_support_oracle_builds_no_full_matrix_at_ten_nodes():
+    # the 1024 x 1024 partial transpose alone is 16 MB; a warm call holds
+    # only the 36 x 36 support block and its copies
+    state = _random_state(np.random.default_rng(10), 10)
+    part = Bipartition((2, 4, 6, 8, 10), (1, 3, 5, 7, 9))
+    expected = negativity_oracle(state, part)
+    tracemalloc.start()
+    try:
+        assert negativity_oracle(state, part) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_support_oracle_at_the_node_cap():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import spintransfer.dynamics as dynamics
+import spintransfer.entanglement as entanglement
 import spintransfer.search as search
-from spintransfer.verify import _random_system, run_all, suite_spectra
+from spintransfer.search import KINDS
+from spintransfer.verify import _random_system, run_all, suite_negativity, suite_spectra
 
 # (kind, delta, delta1, delta2, k0) of the first draws from seed 174,
 # recorded when each kind was still drawn by its own branch.
@@ -29,6 +31,34 @@ def test_random_system_draws_frozen():
     for expected in FIRST_DRAWS:
         s = _random_system(rng)
         assert (s.kind, s.delta, s.delta1, s.delta2, s.k0) == expected
+
+
+def test_random_system_draws_match_the_choice_recipe():
+    # the kind was drawn as str(rng.choice(list(KINDS))); one integer draw
+    # indexing the kinds takes the same numbers from the stream
+    rng, reference = np.random.default_rng(174), np.random.default_rng(174)
+    for _ in range(1000):
+        s = _random_system(rng)
+        kind = str(reference.choice(list(KINDS)))
+        n_nodes, params = KINDS[kind]
+        deltas = {name: float(reference.uniform(0.1, 15.0)) for name in params}
+        k0 = int(reference.integers(1, n_nodes + 1))
+        assert s == search.System(kind, **deltas, k0=k0)
+        assert type(s.kind) is str
+
+
+def test_negativity_suite_fails_on_a_wrong_closed_form(monkeypatch):
+    # the oracle, not the closed form, is the reference: 3 S_A S_B in place
+    # of 4 S_A S_B must fail the suite
+    source = inspect.getsource(entanglement.negativity_grid)
+    right = "4.0 * s_a * s_b"
+    assert source.count(right) == 1
+    namespace = dict(vars(entanglement))
+    exec(source.replace(right, "3.0 * s_a * s_b"), namespace)
+    monkeypatch.setattr(entanglement, "negativity_grid", namespace["negativity_grid"])
+    result = suite_negativity()
+    assert not result.passed
+    assert result.max_deviation > 1e-3
 
 
 @pytest.mark.parametrize("kind", ["rect-perp", "rect-along", "box"])

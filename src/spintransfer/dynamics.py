@@ -11,7 +11,8 @@ amplitude_grid (the grid route: amplitudes on tau_grid(T, dtau) from
 factored phase tables) take any Spectrum: System.spectrum(), the sign
 basis with eigenvalues from the closed-form coupling row, or the
 numeric eigh of a layout's coupling matrix (hamiltonian.diagonalize),
-which serves as the reference.
+which serves as the reference.  amplitude_grid also takes a stack of
+spectra, as diagonalize returns for a stack of matrices.
 
 sign_probability_grid is the one probability kernel, for the pair, the
 rectangle and the box, whose eigenvectors are the sign basis whatever
@@ -91,9 +92,12 @@ def _check_angles(rate: float, tau_max: float, name: str = "d_1g") -> None:
 
 
 def _extreme_eigenvalue(spectrum: Spectrum) -> float:
-    """max_j |lambda_j|, read off the ends of the ascending eigenvalues."""
+    """max_j |lambda_j|, read off the ends of the ascending eigenvalues (of
+    every spectrum of a stack)."""
     lam = spectrum.eigenvalues
-    return max(abs(lam[0]), abs(lam[-1]))
+    if lam.ndim == 1:
+        return max(abs(lam[0]), abs(lam[-1]))
+    return max(np.abs(lam[..., 0]).max(), np.abs(lam[..., -1]).max())
 
 
 def _uniform(lo: float, hi: float, step: float) -> np.ndarray:
@@ -126,14 +130,16 @@ def tau_grid(T: float, dtau: float) -> np.ndarray:
 
 
 def amplitude_grid(spectrum: Spectrum, k0: int, T: float, dtau: float) -> np.ndarray:
-    """Amplitudes f_{k0 m}(tau_i) on tau_grid(T, dtau) as an (N, K) array.
+    """Amplitudes f_{k0 m}(tau_i) on tau_grid(T, dtau) as an (..., N, K) array.
 
-    The phases factor by angle addition: with B = ceil(sqrt K) and
-    i = q B + r, exp(-i lambda tau_i / 2) is the product of a coarse
-    factor at tau_{qB} and a fine one at tau_r, so each eigenvalue takes
-    B + ceil(K / B) complex exponentials instead of K.  The last point,
-    which tau_grid may have clipped to T, is evaluated at its own time.
-    Every angle lambda_j tau_i must be finite.
+    spectrum may be a stack (eigenvalues (..., N), eigenvectors
+    (..., N, N)); each of its spectra gets the amplitudes, bit for bit,
+    that it would get alone.  The phases factor by angle addition: with
+    B = ceil(sqrt K) and i = q B + r, exp(-i lambda tau_i / 2) is the
+    product of a coarse factor at tau_{qB} and a fine one at tau_r, so
+    each eigenvalue takes B + ceil(K / B) complex exponentials instead of
+    K.  The last point, which tau_grid may have clipped to T, is
+    evaluated at its own time.  Every angle lambda_j tau_i must be finite.
     """
     _check_node(k0, spectrum.n_nodes)
     taus = tau_grid(T, dtau)
@@ -141,12 +147,13 @@ def amplitude_grid(spectrum: Spectrum, k0: int, T: float, dtau: float) -> np.nda
     k = taus.size
     b = math.isqrt(k - 1) + 1
     u, lam = spectrum.eigenvectors, spectrum.eigenvalues
-    w = u * u[k0 - 1]  # w[m, j] = u_{k0 j} u_{m j}
-    coarse = np.exp(-0.5j * np.outer(taus[::b], lam))  # (Q, N); taus[qB] = qB dtau
-    fine = np.exp(-0.5j * np.outer(lam, taus[:b]))  # (N, B)
-    # amps[m, q, r] = sum_j w[m, j] coarse[q, j] fine[j, r]
-    amps = ((w[:, None, :] * coarse) @ fine).reshape(len(lam), -1)[:, :k]
-    amps[:, -1] = w @ np.exp(-0.5j * lam * taus[-1])
+    w = u * u[..., k0 - 1, None, :]  # w[..., m, j] = u_{k0 j} u_{m j}
+    coarse = np.exp(-0.5j * (taus[::b, None] * lam[..., None, :]))  # (..., Q, N); taus[qB] = qB dtau
+    fine = np.exp(-0.5j * (lam[..., :, None] * taus[:b]))  # (..., N, B)
+    # amps[..., m, q, r] = sum_j w[..., m, j] coarse[..., q, j] fine[..., j, r]
+    amps = (w[..., None, :] * coarse[..., None, :, :]) @ fine[..., None, :, :]
+    amps = amps.reshape(*w.shape[:-1], -1)[..., :k]
+    amps[..., -1] = (w @ np.exp(-0.5j * lam * taus[-1])[..., None])[..., 0]
     return amps
 
 

@@ -10,10 +10,15 @@ nodes i and j is
 with theta_ij the angle between the internode vector and the field axis.
 The reference pair gives d_12 = 1 whenever the field is perpendicular to
 the 1-2 segment, which is the case in all built-in layouts.
+
+NodeLayout is the one place a layout is validated: its nodes are
+pairwise distinct, so coupling_matrix takes every xi_ij, i != j, as
+positive without checking it again.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -43,31 +48,37 @@ class NodeLayout:
     """Coordinates of N >= 2 nodes plus the unit field axis.
 
     positions has shape (N, 3); field_axis has shape (3,) and unit norm.
-    Every coordinate must be finite.  The distance between nodes 1 and 2
-    must be 1, fixing the length unit.
+    Every coordinate must be finite, and no two nodes may coincide.  The
+    distance between nodes 1 and 2 must be 1, fixing the length unit.
+    The checks run in that order; the node checks read one array of
+    squared pairwise distances.  Both arrays are stored as read-only
+    copies, so a layout cannot be changed after it has been checked.
     """
 
     positions: np.ndarray
     field_axis: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        axis = np.asarray(self.field_axis, dtype=float)
+        # read-only copies, so the layout stays the one that was checked
+        pos = np.array(self.positions, dtype=float)
+        axis = np.array(self.field_axis, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 2:
             raise ValueError("positions must be an (N, 3) array with N >= 2")
         if axis.shape != (3,):
             raise ValueError("field_axis must be a 3-vector")
         if not (np.isfinite(pos).all() and np.isfinite(axis).all()):
             raise ValueError("positions and field_axis must be finite")
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+        if abs(math.sqrt(axis @ axis) - 1.0) > 1e-12:
             raise ValueError("field_axis must have unit norm")
+        # squared distances from one difference array; only the N diagonal
+        # entries may be zero
         diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        n = pos.shape[0]
-        if np.any(dist[~np.eye(n, dtype=bool)] == 0.0):
+        sq = (diff * diff).sum(axis=-1)
+        if np.count_nonzero(sq == 0.0) > pos.shape[0]:
             raise ValueError("node positions must be pairwise distinct")
-        if abs(dist[0, 1] - 1.0) > 1e-12:
+        if abs(math.sqrt(sq[0, 1]) - 1.0) > 1e-12:
             raise ValueError("distance between nodes 1 and 2 must equal 1")
+        pos.flags.writeable = axis.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "field_axis", axis)
 
@@ -86,7 +97,7 @@ class CouplingMatrix:
         d = np.asarray(self.d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("coupling matrix must be square")
-        if not np.array_equal(d, d.T) or np.any(np.diag(d) != 0.0):
+        if not (d == d.T).all() or d.diagonal().any():
             raise ValueError("coupling matrix must be symmetric with zero diagonal")
         object.__setattr__(self, "d", d)
 
@@ -180,17 +191,18 @@ def layout_parallelepiped(b1: float, b2: float) -> NodeLayout:
 
 
 def coupling_matrix(layout: NodeLayout) -> CouplingMatrix:
-    """Dimensionless couplings d_ij = (1 - 3 cos^2 theta_ij) / xi_ij^3."""
+    """Dimensionless couplings d_ij = (1 - 3 cos^2 theta_ij) / xi_ij^3.
+
+    A NodeLayout has pairwise distinct nodes, so every xi_ij, i != j, is
+    positive; the diagonal is computed at xi = 1 and then zeroed.
+    """
     pos = layout.positions
     diff = pos[None, :, :] - pos[:, None, :]
-    xi = np.linalg.norm(diff, axis=-1)
-    n = pos.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if np.any(xi[off] == 0.0):
-        raise ValueError("coincident nodes give a singular coupling")
-    xi_safe = np.where(off, xi, 1.0)
-    cos2 = (diff @ layout.field_axis) ** 2 / xi_safe**2
-    d = np.where(off, (1.0 - 3.0 * cos2) / xi_safe**3, 0.0)
+    xi = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(xi, 1.0)
+    cos2 = (diff @ layout.field_axis) ** 2 / xi**2
+    d = (1.0 - 3.0 * cos2) / xi**3
+    np.fill_diagonal(d, 0.0)
     # exact symmetry, so CouplingMatrix validation never trips on roundoff
     d = (d + d.T) / 2.0
     return CouplingMatrix(d=d)

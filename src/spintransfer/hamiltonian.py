@@ -7,7 +7,8 @@ Gamma = sum_{i<j} d_ij.  The Gamma shift is a multiple of the identity,
 contributes a global phase only, and is dropped: build_D returns D as a
 plain array.
 
-diagonalize is the numeric reference spectrum (eigh).  For the pair, the
+diagonalize is the numeric reference spectrum (eigh), of one D or of a
+stack of them.  For the pair, the
 rectangle and the box, _sign_spectrum gives the same eigensystem in
 closed form from the first coupling row; it is the one eigenvalue
 formula, behind search.System.spectrum(), and verify.suite_spectra
@@ -34,9 +35,12 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of D.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of D, or of a
+    stack of D's.
 
-    eigenvectors[:, j] pairs with eigenvalues[j].
+    eigenvectors[..., :, j] pairs with eigenvalues[..., j]; any leading
+    axes of eigenvalues (..., N) and eigenvectors (..., N, N) index the
+    stack, as diagonalize returns them for a stack of D's.
     """
 
     eigenvalues: np.ndarray
@@ -44,7 +48,7 @@ class Spectrum:
 
     @property
     def n_nodes(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 def build_D(c: CouplingMatrix) -> np.ndarray:
@@ -55,7 +59,9 @@ def build_D(c: CouplingMatrix) -> np.ndarray:
 
 
 def diagonalize(D: np.ndarray) -> Spectrum:
-    """Spectral decomposition of the symmetric array D; deterministic for identical input."""
+    """Spectral decomposition of the symmetric array D, or of each matrix of
+    a (..., N, N) stack of them; deterministic for identical input, and a
+    stacked matrix gets the same spectrum as it would alone."""
     lam, u = np.linalg.eigh(D)
     return Spectrum(eigenvalues=lam, eigenvectors=u)
 
@@ -71,10 +77,10 @@ def _sign_spectrum(row: np.ndarray) -> Spectrum:
     symmetry this needs, so it takes the closed-form rows of
     search.coupling_rows, whose layouts have it.
     """
-    u = _SIGN_VECTORS[len(row)]
-    lam = row @ (2.0 + u / u[0])
+    n = len(row)
+    lam = row @ _SIGN_RATIOS[n]
     order = np.argsort(lam, kind="stable")
-    return Spectrum(eigenvalues=lam[order], eigenvectors=u[:, order])
+    return Spectrum(eigenvalues=lam[order], eigenvectors=_SIGN_VECTORS[n][:, order])
 
 
 def sign_basis(s: int) -> np.ndarray:
@@ -95,5 +101,7 @@ def sign_basis(s: int) -> np.ndarray:
     return basis
 
 
-# Eigenvectors of _sign_spectrum by node count, one per column.
+# Eigenvectors of _sign_spectrum by node count, one per column, and the
+# matrix 2 + u_kj / u_1j that maps the first coupling row to eigenvalues.
 _SIGN_VECTORS = {2**s: sign_basis(s).T for s in (1, 2, 3)}
+_SIGN_RATIOS = {n: 2.0 + u / u[0] for n, u in _SIGN_VECTORS.items()}

@@ -10,20 +10,28 @@ every analytic formula, the closed-form rows included, is checked
 against an independent route.  The closed-form suite also checks the
 sign kernel behind System.probability_grid, the route of every sweep,
 peak and CSV, against the pair, rectangle (at its two degenerate points,
-|d14| = 1) and cube formulas.
+|d14| = 1) and cube formulas, and the pruned route of FP sweeps against
+the dense kernel: a small sweep's FP must equal it exactly.
 The oracle suites evolve System.spectrum(), since there the oracle is
 the reference.  Randomized draws use a fixed seed so runs are
 reproducible.
+
+The layouts of the random draws are diagonalized as stacks, one eigh
+per stack (the closed-form suite evolves them with one amplitude_grid
+call per stack of _STACK); each matrix of a stack gets the spectrum and
+amplitudes it would get alone, so the deviations are those of one call
+per draw.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import closedforms
-from .dynamics import amplitude_grid, evolve, tau_grid
+from .dynamics import amplitude_grid, evolve, sign_probability_grid, tau_grid
 from .entanglement import (
     Bipartition,
     concurrence,
@@ -38,8 +46,8 @@ from .geometry import (
     coupling_matrix,
     layout_rectangle,
 )
-from .hamiltonian import build_D, diagonalize
-from .search import KINDS, System
+from .hamiltonian import Spectrum, build_D, diagonalize
+from .search import KINDS, System, _fp, coupling_rows, sweep1d
 
 __all__ = [
     "SuiteResult",
@@ -54,6 +62,14 @@ _SEED = 174
 
 # The kinds in KINDS order, indexed by one integer draw per system.
 _KIND_NAMES = tuple(KINDS)
+
+# Random rectangles the closed-form suite diagonalizes and evolves at
+# once: 4 x 4 amplitude rows of 3,001 samples per stack.
+_STACK = 4
+
+# sweep1d arguments of the pruned-route check: 29 rect-along points, each
+# pruned (its curvature bound over 10 samples stays below 1).
+_PRUNED_SWEEP = (FIELD_ALONG_B, (4.0, 11.0), 0.25, 10.0, 0.01)
 
 
 @dataclass(frozen=True)
@@ -76,12 +92,17 @@ def _random_system(rng) -> System:
 
 
 def suite_closed_forms(draws: int = 300) -> SuiteResult:
-    """Spectral-path probabilities vs the analytic formulas.
+    """Spectral-path probabilities vs the analytic formulas, and the
+    pruned sweep route vs the dense kernel.
 
     Every closed form is compared with the eigh route on its layout
     (amplitude_grid, dtau = 0.01); the pair, the two degenerate
     rectangles (rect_P at |d14| = 1) and the cube are compared with the
-    sign kernel (System.probability_grid) on the same grid as well.
+    sign kernel (System.probability_grid) on the same grid as well.  The
+    random rectangles are diagonalized, evolved and compared in stacks of
+    _STACK.  The FP of one small rect-along sweep, which prunes, must
+    equal the FP of the dense kernel on its rows exactly; if it does not,
+    the deviation is inf.
     """
     rng = np.random.default_rng(_SEED)
     dtau = 0.01
@@ -89,11 +110,11 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
 
     def compare(probs, expected):
         nonlocal dev
-        dev = max(dev, float(np.abs(probs - np.stack(expected)).max()))
+        dev = max(dev, float(np.abs(probs - np.stack(expected, axis=-2)).max()))
 
-    def spectral(c, T):
-        """P_{1 m} on tau_grid(T, dtau) from the eigh of the coupling matrix c."""
-        return np.abs(amplitude_grid(diagonalize(build_D(c)), 1, T, dtau)) ** 2
+    def spectral(D, T):
+        """P_{1 m} on tau_grid(T, dtau) from the eigh of D or of a stack of D's."""
+        return np.abs(amplitude_grid(diagonalize(D), 1, T, dtau)) ** 2
 
     def both_routes(system, T, closed_form):
         """The eigh route on system's layout and its sign kernel against
@@ -101,21 +122,32 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
         c = coupling_matrix(system.layout())
         taus = tau_grid(T, dtau)
         expected = closed_form(taus, c.d[0])
-        compare(spectral(c, T), expected)
+        compare(spectral(build_D(c), T), expected)
         compare(system.probability_grid(taus), expected)
 
     both_routes(System("chain2"), 4.0 * np.pi, lambda taus, d: closedforms.two_node_P(taus))
 
     taus = tau_grid(30.0, dtau)
-    for _ in range(draws):
-        mode = FIELD_PERPENDICULAR if rng.random() < 0.5 else FIELD_ALONG_B
-        c = coupling_matrix(layout_rectangle(float(rng.uniform(0.3, 3.0)), mode))
-        compare(spectral(c, 30.0), closedforms.rect_P(taus, c.d[0, 2], c.d[0, 3]))
+    for start in range(0, draws, _STACK):
+        cs = []
+        for _ in range(min(_STACK, draws - start)):
+            mode = FIELD_PERPENDICULAR if rng.random() < 0.5 else FIELD_ALONG_B
+            cs.append(coupling_matrix(layout_rectangle(float(rng.uniform(0.3, 3.0)), mode)))
+        d1 = np.stack([c.d[0] for c in cs])
+        expected = closedforms.rect_P(taus, d1[:, 2, None], d1[:, 3, None])
+        compare(spectral(np.stack([build_D(c) for c in cs]), 30.0), expected)
 
     for kind, delta in (("rect-perp", 1.0), ("rect-along", 0.5)):
         degenerate = System(kind, delta=delta)
         both_routes(degenerate, 60.0, lambda taus, d: closedforms.rect_P(taus, d[2], d[3]))
     both_routes(System("box", delta1=1.0, delta2=1.0), 60.0, lambda taus, d: closedforms.cube_P(taus))
+
+    kind, _, _, sweep_T, sweep_dtau = _PRUNED_SWEEP
+    sweep = sweep1d(*_PRUNED_SWEEP)
+    rows = coupling_rows(kind, sweep.grid[:, None])
+    dense = sign_probability_grid(rows, 1, tau_grid(sweep_T, sweep_dtau))
+    if not np.array_equal(sweep.fp, _fp(dense)):
+        dev = math.inf
 
     return _result("closed-forms", dev, 1e-10)
 
@@ -155,27 +187,39 @@ def suite_spectra(draws: int = 200) -> SuiteResult:
     closed-form coupling rows are checked along with the eigenvalue
     formula.  Eigenvalues are compared sorted; eigenvectors through the
     reconstruction U diag(lam) U^T, which both routes must return to
-    the layout's D even across degeneracies.
+    the layout's D even across degeneracies.  The rectangles and the
+    boxes are each diagonalized and reconstructed as one stack.
     """
     rng = np.random.default_rng(_SEED + 3)
     dev = 0.0
 
-    def compare(system):
+    def compare(systems):
         nonlocal dev
-        D = build_D(coupling_matrix(system.layout()))
-        closed, numeric = system.spectrum(), diagonalize(D)
+        if not systems:
+            return
+        D = np.stack([build_D(coupling_matrix(system.layout())) for system in systems])
+        spectra = [system.spectrum() for system in systems]
+        closed = Spectrum(
+            np.stack([spec.eigenvalues for spec in spectra]),
+            np.stack([spec.eigenvectors for spec in spectra]),
+        )
+        numeric = diagonalize(D)
         dev = max(dev, float(np.abs(closed.eigenvalues - numeric.eigenvalues).max()))
         for spec in (closed, numeric):
             u, lam = spec.eigenvectors, spec.eigenvalues
-            dev = max(dev, float(np.abs((u * lam) @ u.T - D).max()))
+            dev = max(dev, float(np.abs((u * lam[:, None, :]) @ u.transpose(0, 2, 1) - D).max()))
 
+    rects = []
     for _ in range(draws):
         mode = FIELD_PERPENDICULAR if rng.random() < 0.5 else FIELD_ALONG_B
-        compare(System(mode, delta=b_to_delta(float(rng.uniform(0.3, 3.0)))))
+        rects.append(System(mode, delta=b_to_delta(float(rng.uniform(0.3, 3.0)))))
+    compare(rects)
 
+    boxes = []
     for _ in range(draws // 2):
         b1, b2 = float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0))
-        compare(System("box", delta1=b_to_delta(b1), delta2=b_to_delta(b2)))
+        boxes.append(System("box", delta1=b_to_delta(b1), delta2=b_to_delta(b2)))
+    compare(boxes)
 
     return _result("spectra", dev, 1e-10)
 

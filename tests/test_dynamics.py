@@ -22,8 +22,8 @@ from spintransfer.dynamics import (
     sign_probability_grid,
     tau_grid,
 )
-from spintransfer.geometry import b_to_delta
-from spintransfer.hamiltonian import sign_basis
+from spintransfer.geometry import b_to_delta, coupling_matrix
+from spintransfer.hamiltonian import Spectrum, build_D, diagonalize, sign_basis
 from spintransfer.search import KINDS, System, coupling_rows
 
 taus = st.floats(min_value=0.0, max_value=60.0, allow_nan=False)
@@ -250,6 +250,47 @@ def test_amplitude_grid_last_point_clipped_to_T():
     spec = System("rect-along", delta=4.3).spectrum()
     grid = amplitude_grid(spec, 1, 1.0, dtau)
     assert np.array_equal(grid[:, -1], evolve(spec, 1, 1.0).amplitudes)
+
+
+def _eigh_stack(systems):
+    """The numeric spectra of systems as one stacked Spectrum (eigh of a stack of D's)."""
+    return diagonalize(np.stack([build_D(coupling_matrix(s.layout())) for s in systems]))
+
+
+# T, dtau: a grid of 3,001 samples, one of 7,301, and one whose last
+# point roundoff puts past T = 1, clipped to T
+_STACK_GRIDS = [(30.0, 0.01), (7.3, 0.001), (1.0, 0.1 * (1.0 + 5e-10))]
+
+
+@pytest.mark.parametrize("kind", ["rect-along", "box"])
+@pytest.mark.parametrize("size", [1, 4, 7])
+@pytest.mark.parametrize("k0", [1, 2])
+@pytest.mark.parametrize("T, dtau", _STACK_GRIDS)
+def test_amplitude_grid_stack_equals_single_calls(kind, size, k0, T, dtau):
+    rng = np.random.default_rng(size)
+    names = KINDS[kind][1]
+    systems = [System(kind, **{n: float(rng.uniform(0.1, 15.0)) for n in names}) for _ in range(size)]
+    stack = _eigh_stack(systems)
+    assert stack.eigenvalues.shape == (size, KINDS[kind][0])
+    assert stack.n_nodes == KINDS[kind][0]
+    grid = amplitude_grid(stack, k0, T, dtau)
+    assert grid.shape == (size, KINDS[kind][0], tau_grid(T, dtau).size)
+    for i, system in enumerate(systems):
+        single = eigh_spectrum(system)
+        assert np.array_equal(grid[i], amplitude_grid(single, k0, T, dtau))
+        spec = Spectrum(stack.eigenvalues[i], stack.eigenvectors[i])
+        assert np.array_equal(grid[i], amplitude_grid(spec, k0, T, dtau))
+
+
+def test_amplitude_grid_stack_rejects_bad_arguments():
+    stack = _eigh_stack([System("rect-perp", delta=2.0), System("rect-along", delta=4.3)])
+    with pytest.raises(ValueError, match="node index 5 must be an integer in 1..4"):
+        amplitude_grid(stack, 5, 1.0, 0.1)
+    # the largest |lambda_j| of the stack sets the overflow, whichever spectrum holds it
+    big = float(np.abs(stack.eigenvalues).max())
+    assert big == np.abs(stack.eigenvalues[1]).max() > np.abs(stack.eigenvalues[0]).max()
+    with pytest.raises(ValueError, match=f"max\\|lambda_j\\| {big!r} x tau 1e\\+308"):
+        amplitude_grid(stack, 1, 1e308, 1e303)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spintransfer.geometry import (
     FIELD_ALONG_B,
     FIELD_PERPENDICULAR,
+    CouplingMatrix,
     NodeLayout,
     b_to_delta,
     coupling_matrix,
@@ -123,6 +124,78 @@ def test_parallelepiped_frozen_field_coupling():
     # height b2 with delta2 = 26.2 gives the strong negative on-axis coupling
     d = coupling_matrix(layout_parallelepiped(delta_to_b(9.0), delta_to_b(26.2))).d
     assert d[0, 4] == pytest.approx(-52.4, rel=1e-12)
+
+
+def _norm_and_eye_couplings(layout):
+    """d_ij by the np.linalg.norm and identity-mask recipe coupling_matrix
+    used before it relied on NodeLayout's distinct nodes."""
+    pos = layout.positions
+    diff = pos[None, :, :] - pos[:, None, :]
+    xi = np.linalg.norm(diff, axis=-1)
+    off = ~np.eye(pos.shape[0], dtype=bool)
+    xi_safe = np.where(off, xi, 1.0)
+    cos2 = (diff @ layout.field_axis) ** 2 / xi_safe**2
+    d = np.where(off, (1.0 - 3.0 * cos2) / xi_safe**3, 0.0)
+    return (d + d.T) / 2.0
+
+
+domain_sides = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.one_of(sides, domain_sides), mode=st.sampled_from([FIELD_PERPENDICULAR, FIELD_ALONG_B]))
+def test_rectangle_couplings_bit_identical_to_the_norm_recipe(b, mode):
+    layout = layout_rectangle(b, mode)
+    assert np.array_equal(coupling_matrix(layout).d, _norm_and_eye_couplings(layout))
+
+
+@settings(max_examples=200, deadline=None)
+@given(b1=st.one_of(sides, domain_sides), b2=st.one_of(sides, domain_sides))
+def test_box_couplings_bit_identical_to_the_norm_recipe(b1, b2):
+    layout = layout_parallelepiped(b1, b2)
+    assert np.array_equal(coupling_matrix(layout).d, _norm_and_eye_couplings(layout))
+
+
+def test_layout_names_the_first_failed_check():
+    # the checks run in order: unit axis, distinct nodes, then the 1-2 unit
+    z = np.array([0.0, 0.0, 1.0])
+    far_twins = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="node positions must be pairwise distinct"):
+        NodeLayout(far_twins, z)
+    with pytest.raises(ValueError, match="field_axis must have unit norm"):
+        NodeLayout(far_twins, 2.0 * z)
+    with pytest.raises(ValueError, match="node positions must be pairwise distinct"):
+        NodeLayout(2.0 * far_twins, z)
+    with pytest.raises(ValueError, match="distance between nodes 1 and 2 must equal 1"):
+        NodeLayout(2.0 * far_twins[:3], z)
+
+
+def test_layout_cannot_change_after_its_checks():
+    # coupling_matrix relies on the checked layout: distinct nodes, unit axis
+    positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
+    axis = np.array([0.0, 0.0, 1.0])
+    layout = NodeLayout(positions, axis)
+    positions[2] = positions[1]
+    axis[2] = 2.0
+    assert np.array_equal(layout.positions[2], [1.0, 2.0, 0.0]) and layout.field_axis[2] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        layout.positions[2] = layout.positions[1]
+    with pytest.raises(ValueError, match="read-only"):
+        layout.field_axis[2] = 2.0
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (np.zeros((2, 3)), "coupling matrix must be square"),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "must be symmetric with zero diagonal"),
+        (np.array([[1.0, 1.0], [1.0, 0.0]]), "must be symmetric with zero diagonal"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), "must be symmetric with zero diagonal"),
+    ],
+)
+def test_coupling_matrix_rejects_bad_arrays(d, message):
+    with pytest.raises(ValueError, match=message):
+        CouplingMatrix(d)
 
 
 def test_coupling_matrix_symmetry_and_zero_diagonal():

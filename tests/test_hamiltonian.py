@@ -13,8 +13,8 @@ from spintransfer.geometry import (
     coupling_matrix,
     layout_rectangle,
 )
-from spintransfer.hamiltonian import build_D, diagonalize, sign_basis
-from spintransfer.search import System
+from spintransfer.hamiltonian import _SIGN_VECTORS, _sign_spectrum, build_D, diagonalize, sign_basis
+from spintransfer.search import KINDS, System, coupling_rows
 
 sides = st.floats(min_value=0.25, max_value=4.0, allow_nan=False)
 modes = st.sampled_from([FIELD_PERPENDICULAR, FIELD_ALONG_B])
@@ -129,3 +129,30 @@ def test_parallelepiped_eigenvectors_are_sign_patterns():
     # all eight eigenvectors of the box have entries +-1/sqrt(8)
     spec = System("box", delta1=b_to_delta(0.7), delta2=b_to_delta(1.2)).spectrum()
     assert np.allclose(np.abs(spec.eigenvectors), 1.0 / (2.0 * np.sqrt(2.0)), atol=1e-14)
+
+
+def test_diagonalize_stack_equals_single_calls():
+    # eigh of a (G, N, N) stack gives each matrix the spectrum it gets alone
+    D = np.stack([_rect_D(b, mode) for b in (0.4, 1.0, 2.7) for mode in (FIELD_PERPENDICULAR, FIELD_ALONG_B)])
+    stack = diagonalize(D)
+    assert stack.n_nodes == 4
+    assert stack.eigenvalues.shape == (6, 4) and stack.eigenvectors.shape == (6, 4, 4)
+    for i, matrix in enumerate(D):
+        single = diagonalize(matrix)
+        assert np.array_equal(stack.eigenvalues[i], single.eigenvalues)
+        assert np.array_equal(stack.eigenvectors[i], single.eigenvectors)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_sign_spectrum_table_equals_the_row_formula(kind):
+    # the tabulated 2 + u_kj / u_1j gives the eigenvalues bit for bit as
+    # the formula evaluated on every call did
+    rng = np.random.default_rng(7)
+    params = rng.uniform(0.1, 15.0, (50, len(KINDS[kind][1])))
+    for row in coupling_rows(kind, params):
+        u = _SIGN_VECTORS[len(row)]
+        lam = row @ (2.0 + u / u[0])
+        order = np.argsort(lam, kind="stable")
+        spec = _sign_spectrum(row)
+        assert np.array_equal(spec.eigenvalues, lam[order])
+        assert np.array_equal(spec.eigenvectors, u[:, order])

@@ -6,11 +6,20 @@ import inspect
 import numpy as np
 import pytest
 
+import spintransfer.closedforms as closedforms
 import spintransfer.dynamics as dynamics
 import spintransfer.entanglement as entanglement
+import spintransfer.geometry as geometry
 import spintransfer.search as search
+import spintransfer.verify as verify
 from spintransfer.search import KINDS
-from spintransfer.verify import _random_system, run_all, suite_negativity, suite_spectra
+from spintransfer.verify import (
+    _random_system,
+    run_all,
+    suite_closed_forms,
+    suite_negativity,
+    suite_spectra,
+)
 
 # (kind, delta, delta1, delta2, k0) of the first draws from seed 174,
 # recorded when each kind was still drawn by its own branch.
@@ -89,3 +98,64 @@ def test_closed_forms_suite_fails_on_a_wrong_sign_kernel(monkeypatch):
     results = {result.name: result for result in run_all()}
     assert not results["closed-forms"].passed
     assert results["closed-forms"].max_deviation > 0.1
+
+
+def _mutated(module, name, right, wrong):
+    """module.name compiled from its source with the one occurrence of right
+    replaced by wrong."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(right) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(right, wrong), namespace)
+    return namespace[name]
+
+
+def test_closed_forms_suite_fails_on_a_wrong_rectangle_formula(monkeypatch):
+    # P_13 with the two cosines added: the stacked rectangle draws, taken
+    # through one broadcast rect_P call per stack, must still see it
+    wrong = _mutated(closedforms, "rect_P", "c * (c14 - c13)", "c * (c14 + c13)")
+    monkeypatch.setattr(closedforms, "rect_P", wrong)
+    result = suite_closed_forms()
+    assert not result.passed
+    assert result.max_deviation > 0.1
+
+
+def test_spectra_suite_fails_on_a_wrong_dipolar_angle_factor(monkeypatch):
+    # 1 - 2.9 cos^2 in place of 1 - 3 cos^2: the stacked eigh of the
+    # layouts' D no longer matches the closed-form rows
+    wrong = _mutated(geometry, "coupling_matrix", "3.0 * cos2", "2.9 * cos2")
+    monkeypatch.setattr(verify, "coupling_matrix", wrong)
+    result = suite_spectra()
+    assert not result.passed
+    assert result.max_deviation > 1e-3
+
+
+def test_closed_forms_suite_fails_on_a_wrong_pruning_bound(monkeypatch):
+    # a curvature bound 100 times too small lets the coarse pass skip
+    # samples above the coarse maxima: the pruned sweep's FP no longer
+    # equals the dense kernel's
+    right = search._sign_curvature
+    monkeypatch.setattr(search, "_sign_curvature", lambda rows: right(rows) / 100.0)
+    result = suite_closed_forms()
+    assert not result.passed
+    assert result.max_deviation == np.inf
+
+
+def test_pruned_route_check_runs_on_pruned_points():
+    # every point of the check's sweep takes the coarse pass, so it
+    # evaluates fewer samples than the dense grid
+    kind, _, _, T, dtau = verify._PRUNED_SWEEP
+    sweep = search.sweep1d(*verify._PRUNED_SWEEP)
+    taus = dynamics.tau_grid(T, dtau)
+    assert sweep.grid.size == 29
+    rows = search.coupling_rows(kind, sweep.grid[:, None])
+    h = search._COARSE_STRIDE * dtau
+    assert (search._sign_curvature(rows) * h * h / 8.0 < 1.0).all()
+    assert sweep.samples < sweep.grid.size * 4 * taus.size
+
+
+@pytest.mark.parametrize("draws", [0, 1, 5])
+def test_stacked_suites_take_any_draw_count(draws):
+    # a last stack shorter than _STACK, and no box at all below 2 draws
+    assert suite_closed_forms(draws).passed
+    assert suite_spectra(draws).passed

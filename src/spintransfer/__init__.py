@@ -14,101 +14,25 @@ cross-checks the independent code paths against each other; cli exposes
 everything as subcommands.
 """
 
-from .closedforms import cube_P, rect_P, two_node_P
-from .dynamics import (
-    TransferState,
-    amplitude_grid,
-    density_element,
-    evolve,
-    fidelity,
-    sign_probability_grid,
-    tau_grid,
-)
-from .entanglement import (
-    Bipartition,
-    concurrence,
-    concurrence_oracle,
-    negativity,
-    negativity_grid,
-    negativity_oracle,
-    sigma,
-)
-from .geometry import (
-    FIELD_ALONG_B,
-    FIELD_PERPENDICULAR,
-    CouplingMatrix,
-    NodeLayout,
-    b_to_delta,
-    coupling_matrix,
-    delta_to_b,
-    layout_chain2,
-    layout_parallelepiped,
-    layout_rectangle,
-)
-from .hamiltonian import (
-    Spectrum,
-    build_D,
-    diagonalize,
-    sign_basis,
-)
-from .search import (
-    DISPLAY_MARGIN,
-    PeakRecord,
-    SweepResult,
-    System,
-    coupling_rows,
-    fn_value,
-    fp_value,
-    hpst_times,
-    sweep1d,
-    sweep2d,
-)
-from .verify import SuiteResult, run_all
+from . import closedforms, dynamics, entanglement, geometry, hamiltonian, search, verify
+from .closedforms import *
+from .dynamics import *
+from .entanglement import *
+from .geometry import *
+from .hamiltonian import *
+from .search import *
+from .verify import *
 
 __version__ = "0.1.0"
 
+# The package re-exports the public names of every library module, as each
+# module's __all__ declares them; cli stays off, so main is not exported.
 __all__ = [
-    "Bipartition",
-    "CouplingMatrix",
-    "DISPLAY_MARGIN",
-    "FIELD_ALONG_B",
-    "FIELD_PERPENDICULAR",
-    "NodeLayout",
-    "PeakRecord",
-    "Spectrum",
-    "SuiteResult",
-    "SweepResult",
-    "System",
-    "TransferState",
-    "amplitude_grid",
-    "b_to_delta",
-    "build_D",
-    "concurrence",
-    "concurrence_oracle",
-    "coupling_matrix",
-    "coupling_rows",
-    "cube_P",
-    "delta_to_b",
-    "density_element",
-    "diagonalize",
-    "evolve",
-    "fidelity",
-    "fn_value",
-    "fp_value",
-    "hpst_times",
-    "layout_chain2",
-    "layout_parallelepiped",
-    "layout_rectangle",
-    "negativity",
-    "negativity_grid",
-    "negativity_oracle",
-    "rect_P",
-    "run_all",
-    "sigma",
-    "sign_basis",
-    "sign_probability_grid",
-    "sweep1d",
-    "sweep2d",
-    "tau_grid",
-    "two_node_P",
+    *closedforms.__all__,
+    *dynamics.__all__,
+    *entanglement.__all__,
+    *geometry.__all__,
+    *hamiltonian.__all__,
+    *search.__all__,
+    *verify.__all__,
 ]

@@ -77,7 +77,11 @@ def _check_finite(**values) -> None:
     """Require each named value to be a finite real number: not a bool, a
     string, a sequence or a complex number, and not NaN or infinite."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        # type(value) is float skips the slower abstract-class check.
+        real = type(value) is float or (
+            isinstance(value, numbers.Real) and not isinstance(value, bool)
+        )
+        if not real:
             raise ValueError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {name}={value!r}")
@@ -265,11 +269,11 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
 
 
 def evolve(spectrum: Spectrum, k0: int, tau: float) -> TransferState:
-    """State of the excitation at a single time tau, which must be finite,
-    and so must every angle lambda_j tau."""
+    """State of the excitation at a single time tau, which must be a finite
+    real number (not a bool or a string), and so must every angle
+    lambda_j tau."""
+    _check_finite(tau=tau)
     tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
     _check_node(k0, spectrum.n_nodes)
     _check_angles(_extreme_eigenvalue(spectrum), abs(tau), "lambda_j")
     u = spectrum.eigenvectors

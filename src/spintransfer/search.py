@@ -207,9 +207,12 @@ class System:
 
     def probability_grid(self, taus: np.ndarray) -> np.ndarray:
         """P_{k0 m}(tau_i) as an (N, len(taus)) array, from the closed-form
-        coupling row through dynamics.sign_probability_grid.  Every tau
-        must be finite, and so must every angle d_1g tau."""
-        taus = np.asarray(taus, dtype=float)
+        coupling row through dynamics.sign_probability_grid.  taus must be
+        a 1-D array of real numbers (not bools, strings or complex numbers);
+        every tau must be finite, and so must every angle d_1g tau."""
+        taus = np.asarray(taus)
+        if taus.ndim != 1 or taus.dtype.kind not in "iuf":
+            raise ValueError(f"taus must be a 1-D real array, got {taus.dtype}, shape {taus.shape}")
         tau_max = float(np.abs(taus).max(initial=0.0))
         if not math.isfinite(tau_max):
             raise ValueError(f"taus must be finite, got {float(taus[~np.isfinite(taus)][0])!r}")
@@ -331,17 +334,10 @@ def hpst_times(system: System, T: float, dtau: float, p0: float = 0.9):
 
 
 def _intervals_from_flags(grid: np.ndarray, flags: np.ndarray) -> tuple:
-    runs = []
-    start = None
-    for k, on in enumerate(flags):
-        if on and start is None:
-            start = k
-        elif not on and start is not None:
-            runs.append((float(grid[start]), float(grid[k - 1])))
-            start = None
-    if start is not None:
-        runs.append((float(grid[start]), float(grid[-1])))
-    return tuple(runs)
+    """(first, last) grid values of every maximal run of flagged points."""
+    # a run starts and ends where the flags, padded with False, change
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], flags, [False]))))
+    return tuple((float(grid[a]), float(grid[b - 1])) for a, b in zip(edges[::2], edges[1::2]))
 
 
 def _blocks(indices: np.ndarray, per_point: int) -> list:
@@ -354,35 +350,37 @@ def _pruned_fp(rows: np.ndarray, taus: np.ndarray, coarse: np.ndarray):
     """FP of the rows (k0 = 1) on taus, equal to the dense result, and the
     number of probability values evaluated.
 
-    The samples at the coarse indices of taus come first.  Between two of
-    them, h apart, P_m is at most the larger end plus M h**2 / 8 (M from
-    _sign_curvature; the error of linear interpolation), plus twice the
-    kernel's rounding bound: the ends and the skipped sample each carry
-    it.  Only the segments where that bound reaches some node's coarse
-    maximum get their inner samples evaluated, one kernel row per
-    segment; every skipped sample is then below one that was evaluated.
+    The samples at the coarse indices of taus come first; every segment
+    between two of them is stride = coarse[1] samples long but the last,
+    which may be shorter.  Between the ends of a segment, h apart, P_m is
+    at most the larger end plus M h**2 / 8 (M from _sign_curvature; the
+    error of linear interpolation), plus twice the kernel's rounding
+    bound: the ends and the skipped sample each carry it.  Only the
+    segments where that bound reaches some node's coarse maximum get their
+    inner samples evaluated, in one pass of one kernel row per segment:
+    indices coarse[segment] + 1 .. + stride - 1, clipped to the last
+    sample, which the coarse pass holds already, so only the unclipped
+    ones count.  Every skipped sample is then below one that was
+    evaluated.
     """
     probs = sign_probability_grid(rows, 1, taus[coarse])
     samples = probs.size
     best = probs.max(axis=-1)
-    bound = (
-        _sign_curvature(rows)[:, None] * np.diff(taus[coarse]) ** 2 / 8.0
-        + 2.0 * _sign_rounding(rows, taus[-1])[:, None]
-    )
     ends = np.maximum(probs[..., :-1], probs[..., 1:])
     del probs
-    ends += bound[:, None]
-    refine = np.any(ends >= best[..., None], axis=1)
+    ends += (
+        _sign_curvature(rows)[:, None] * np.diff(taus[coarse]) ** 2 / 8.0
+        + 2.0 * _sign_rounding(rows, taus[-1])[:, None]
+    )[:, None]
+    # a last segment of length 1 has no inner samples
+    point, segment = np.nonzero(np.any(ends >= best[..., None], axis=1) & (np.diff(coarse) > 1))
     del ends
-    lengths = np.diff(coarse)
-    # every segment but the last is _COARSE_STRIDE samples long
-    for length in {int(lengths[0]), int(lengths[-1])} - {1}:
-        point, segment = np.nonzero(refine & (lengths == length))
-        for part in _blocks(np.arange(point.size), rows.shape[1] * (length - 1)):
-            inner = coarse[segment[part], None] + np.arange(1, length)
-            fine = sign_probability_grid(rows[point[part]], 1, taus[inner]).max(axis=-1)
-            samples += inner.size * rows.shape[1]
-            np.maximum.at(best, point[part], fine)
+    offsets = np.arange(1, coarse[1])
+    for part in _blocks(np.arange(point.size), rows.shape[1] * offsets.size):
+        inner = coarse[segment[part], None] + offsets
+        samples += np.count_nonzero(inner < taus.size - 1) * rows.shape[1]
+        fine = sign_probability_grid(rows[point[part]], 1, taus[np.minimum(inner, taus.size - 1)])
+        np.maximum.at(best, point[part], fine.max(axis=-1))
     return best.min(axis=-1), samples
 
 

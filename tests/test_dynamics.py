@@ -1,5 +1,6 @@
 """Evolution amplitudes, probabilities, grids, and fidelity."""
 
+import re
 from functools import reduce
 from itertools import combinations
 from operator import xor
@@ -142,8 +143,24 @@ def test_evolve_rejects_bad_source():
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
 def test_evolve_rejects_non_finite_tau(tau):
     # refused before any phase is taken, so no NaN probabilities come back
-    with pytest.raises(ValueError, match=f"tau must be finite, got {tau!r}"):
+    with pytest.raises(ValueError, match=f"tau must be finite, got tau={tau!r}"):
         evolve(System("rect-along", delta=4.3).spectrum(), 1, tau)
+
+
+@pytest.mark.parametrize("tau", [True, "2.9", 1 + 0j, None, [1.0], np.array([1.0])])
+def test_evolve_rejects_a_time_that_is_not_a_real_number(tau):
+    # one ValueError for every non-real time, as for T and dtau, so True
+    # is not run at tau = 1 and "2.9" is not parsed
+    with pytest.raises(ValueError, match=re.escape(f"tau must be a real number, got {tau!r}")):
+        evolve(System("rect-along", delta=4.3).spectrum(), 1, tau)
+
+
+@pytest.mark.parametrize("tau", [2, np.int64(2), np.float32(2.0), np.float64(2.0)])
+def test_evolve_takes_any_real_scalar_time(tau):
+    spec = System("rect-along", delta=4.3).spectrum()
+    state = evolve(spec, 1, tau)
+    assert type(state.tau) is float and state.tau == 2.0
+    assert np.array_equal(state.amplitudes, evolve(spec, 1, 2.0).amplitudes)
 
 
 def test_unitarity_over_random_draws():

@@ -1,6 +1,7 @@
 """Arrival peaks, min-max objectives, and the delta sweeps."""
 
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import spintransfer.search as search
 from conftest import eigh_spectrum
-from spintransfer.dynamics import evolve, tau_grid
+from spintransfer.dynamics import evolve, sign_probability_grid, tau_grid
 from spintransfer.entanglement import negativity_grid
 from spintransfer.geometry import FIELD_ALONG_B, FIELD_PERPENDICULAR, b_to_delta, coupling_matrix
 from spintransfer.hamiltonian import build_D
@@ -410,6 +411,54 @@ def test_fn_value_is_min_over_pairs_of_best_negativity():
     assert fn_value(system, 5.0, 0.01) == best
 
 
+# Rectangle points where node pair (2, 4) sets FN, with dtau = 0.01: the
+# FN, and the smallest best negativity over the other five pairs.
+_PAIR_24_MINIMA = [
+    (FIELD_PERPENDICULAR, 5.05, 10.0, 0.8118595766935862, 0.8897),
+    (FIELD_ALONG_B, 4.25, 3.5, 0.2979043707859119, 0.3338),
+]
+
+
+def _best_negativity_per_pair(system, T, dtau) -> dict:
+    """Best pairwise negativity of every 1-based node pair, by an explicit loop."""
+    probs = system.probability_grid(tau_grid(T, dtau))
+    n = system.n_nodes
+    return {
+        (i + 1, j + 1): negativity_grid(probs[i], probs[j]).max()
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+
+
+def _fn_routes(mode, delta, T):
+    """FN of one rectangle by fn_value and by a with_fn sweep starting at delta."""
+    res = sweep1d(mode, (delta, delta + 0.01), 0.01, T, 0.01, with_fn=True)
+    assert res.grid[0] == delta
+    return fn_value(System(mode, delta=delta), T, 0.01), res.fn[0]
+
+
+@pytest.mark.parametrize("mode, delta, T, fn, _", _PAIR_24_MINIMA)
+def test_fn_equals_the_pair_loop_where_pair_2_4_is_the_minimum(mode, delta, T, fn, _):
+    best = _best_negativity_per_pair(System(mode, delta=delta), T, 0.01)
+    assert len(best) == 6 and min(best, key=best.get) == (2, 4)
+    assert min(best.values()) == fn
+    assert _fn_routes(mode, delta, T) == (fn, fn)
+
+
+@pytest.mark.parametrize("mode, delta, T, fn, others", _PAIR_24_MINIMA)
+def test_fn_that_skips_pair_2_4_misses_the_pair_loop(monkeypatch, mode, delta, T, fn, others):
+    # a mutation that the FN bands and the fn_value-vs-sweep tests let through
+    def skipping(nodes, r):
+        return [pair for pair in combinations(nodes, r) if pair != (1, 3)]
+
+    monkeypatch.setattr(search, "combinations", skipping)
+    loop = min(_best_negativity_per_pair(System(mode, delta=delta), T, 0.01).values())
+    assert loop == fn
+    for mutated in _fn_routes(mode, delta, T):
+        assert mutated != loop
+        assert mutated == pytest.approx(others, abs=5e-5)
+
+
 @pytest.mark.parametrize(
     "mode, delta_range, size",
     [
@@ -664,6 +713,63 @@ def test_22_tau_samples_take_the_coarse_pass(monkeypatch):
     assert (4,) in shapes  # coarse samples 0, 10, 20 and 21
 
 
+@pytest.mark.parametrize("length", range(1, search._COARSE_STRIDE + 1))
+def test_pruned_fp_on_every_last_segment_length(monkeypatch, length):
+    # K tau samples leave a last coarse segment of (K - 1) mod 10 samples
+    # (10 at 0), whose inner indices past the end are clipped to it
+    T = round(10.0 + 0.01 * length, 2)
+    taus = tau_grid(T, 0.01)
+    assert ((taus.size - 1) % search._COARSE_STRIDE or search._COARSE_STRIDE) == length
+    evaluated = {}
+    kernel = search.sign_probability_grid
+
+    def recording(rows, k0, times):
+        for row, row_times in zip(rows, np.broadcast_to(times, (len(rows), np.shape(times)[-1]))):
+            evaluated.setdefault(row.tobytes(), set()).update(row_times.tolist())
+        return kernel(rows, k0, times)
+
+    monkeypatch.setattr(search, "sign_probability_grid", recording)
+    res = sweep1d(FIELD_ALONG_B, (4.0, 11.0), 0.5, T, 0.01)
+    rows = coupling_rows(FIELD_ALONG_B, res.grid[:, None])
+    assert np.array_equal(res.fp, search._fp(sign_probability_grid(rows, 1, taus)))
+    # every point took the pruned route: its coarse pass holds the last sample
+    assert len(evaluated) == len(res.grid)
+    for times in evaluated.values():
+        assert float(taus[-1]) in times and times <= set(taus.tolist())
+    assert res.samples == 4 * sum(len(times) for times in evaluated.values())
+    assert res.samples < _dense_samples(res, 4, T, 0.01)
+
+
+def _intervals_by_loop(grid, flags) -> tuple:
+    """The start/stop loop that _intervals_from_flags replaced, as its reference."""
+    runs = []
+    start = None
+    for k, on in enumerate(flags):
+        if on and start is None:
+            start = k
+        elif not on and start is not None:
+            runs.append((float(grid[start]), float(grid[k - 1])))
+            start = None
+    if start is not None:
+        runs.append((float(grid[start]), float(grid[-1])))
+    return tuple(runs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=st.lists(st.booleans(), min_size=1, max_size=60))
+@example(flags=[True] * 9)
+@example(flags=[False] * 9)
+@example(flags=[True])
+@example(flags=[False])
+@example(flags=[False, True, False])
+@example(flags=[True, True, False, False, True])
+@example(flags=[True, False, True, False, True])
+def test_intervals_from_flags_equal_the_run_loop(flags):
+    grid = 2.0 + 0.01 * np.arange(len(flags))
+    flags = np.array(flags)
+    assert search._intervals_from_flags(grid, flags) == _intervals_by_loop(grid, flags)
+
+
 @pytest.mark.parametrize("mode", [FIELD_PERPENDICULAR, FIELD_ALONG_B])
 def test_pruned_fp_equals_dense_at_large_delta_and_small_step(mode):
     # delta ~ 100 turns fast, dtau = 1e-5 makes the segments short
@@ -734,6 +840,22 @@ def test_hpst_times_rejects_a_threshold_that_is_not_a_number(p0):
     # "x" used to raise TypeError from np.isfinite
     with pytest.raises(ValueError, match=re.escape(f"p0 must be a real number, got {p0!r}")):
         hpst_times(System("rect-along", delta=4.3), 3.5, 0.01, p0=p0)
+
+
+@pytest.mark.parametrize(
+    "taus",
+    [[True, False], ["0.5"], np.zeros((1, 3)), [[0.5]], [0.5 + 0j], 0.5, [None]],
+)
+def test_probability_grid_rejects_taus_that_are_not_a_real_vector(taus):
+    # a bool or a string is not a time, and a (1, K) array is not one grid
+    with pytest.raises(ValueError, match=re.escape("taus must be a 1-D real array, got")):
+        System("box", delta1=2.0, delta2=3.0).probability_grid(taus)
+
+
+def test_probability_grid_takes_integer_taus():
+    system = System("rect-perp", delta=7.0)
+    expected = system.probability_grid([0.0, 1.0, 2.0])
+    assert np.array_equal(system.probability_grid([0, 1, 2]), expected)
 
 
 @pytest.mark.parametrize("taus", [[0.0, np.inf], [np.nan], [1.0, -np.inf, 2.0]])

@@ -26,17 +26,12 @@ from .verify import run_all
 
 __all__ = ["main"]
 
-_PARAMS = ("delta", "delta1", "delta2")
+# Every coupling parameter of some kind, in KINDS order: each gets its flags.
+_PARAMS = tuple(dict.fromkeys(name for _, names in KINDS.values() for name in names))
 
 
 def _system_from(args) -> System:
-    return System(
-        args.system,
-        delta=args.delta,
-        delta1=args.delta1,
-        delta2=args.delta2,
-        k0=args.k0,
-    )
+    return System(args.system, k0=args.k0, **{name: getattr(args, name) for name in _PARAMS})
 
 
 def _write_csv(path: str, header, columns) -> None:

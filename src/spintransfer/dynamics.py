@@ -66,11 +66,13 @@ _MAX_GRID_POINTS = 1_000_000
 
 
 def _check_node(k, n) -> None:
-    """Require a 1-based node index: an integer, not a bool, in 1..n."""
+    """Require a 1-based node index: an integer, not a bool, in 1..n (any
+    positive integer for n = math.inf)."""
     # type(k) is int excludes bool and skips the slower abstract-class check.
     integral = type(k) is int or (isinstance(k, numbers.Integral) and not isinstance(k, bool))
     if not (integral and 1 <= k <= n):
-        raise ValueError(f"node index {k!r} must be an integer in 1..{n}")
+        bound = "a positive integer" if n == math.inf else f"an integer in 1..{n}"
+        raise ValueError(f"node index {k!r} must be {bound}")
 
 
 def _check_finite(**values) -> None:

@@ -37,7 +37,11 @@ __all__ = [
 # values in [-1e-12, 0] are numerical zeros.
 _NEGATIVE_FLOOR = -1e-12
 
-# Cap on the reduced space of the brute-force negativity (2**12 states).
+# Cap on the nodes m one bipartition of the brute-force negativity spans.
+# _transposed_positions writes every state as an int64 bit mask, which
+# holds at most 63 spins; 12 keeps well inside that and covers every kind
+# (at most 8 nodes).  The block diagonalized is small either way: at most
+# 1 + m + m1 m2 states, 49 at m = 12.
 _MAX_ORACLE_NODES = 12
 
 

@@ -173,14 +173,16 @@ class System:
         need = KINDS[self.kind][1]
         for name in ("delta", "delta1", "delta2"):
             value = getattr(self, name)
-            if value is None:
-                if name in need:
-                    raise ValueError(f"{self.kind} requires {name}")
-            elif name not in need:
-                raise ValueError(f"{self.kind} takes no {name}")
-            else:
+            if value is None and name in need:
+                raise ValueError(f"{self.kind} requires {name}")
+            if value is not None:
+                if name not in need:
+                    raise ValueError(f"{self.kind} takes no {name}")
                 _check_domain(name, value)
         _check_node(self.k0, self.n_nodes)
+        # the closed-form first coupling row, shape (1, N), built once
+        object.__setattr__(self, "_row", coupling_rows(self.kind, [[getattr(self, n) for n in need]]))
+        self._row.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
@@ -194,16 +196,12 @@ class System:
             return layout_parallelepiped(delta_to_b(self.delta1), delta_to_b(self.delta2))
         return layout_rectangle(delta_to_b(self.delta), self.kind)
 
-    def _row(self) -> np.ndarray:
-        """The closed-form first coupling row, shape (1, N)."""
-        return coupling_rows(self.kind, [[getattr(self, name) for name in KINDS[self.kind][1]]])
-
     def spectrum(self) -> Spectrum:
         """Spectrum of D: the sign basis, with eigenvalues from the
         closed-form coupling row (no layout and no eigensolver).  It agrees
         with the numeric eigh of the layout's coupling matrix to 1e-12 of
         max|D|, eigenvalues compared sorted."""
-        return _sign_spectrum(self._row()[0])
+        return _sign_spectrum(self._row[0])
 
     def probability_grid(self, taus: np.ndarray) -> np.ndarray:
         """P_{k0 m}(tau_i) as an (N, len(taus)) array, from the closed-form
@@ -216,9 +214,8 @@ class System:
         tau_max = float(np.abs(taus).max(initial=0.0))
         if not math.isfinite(tau_max):
             raise ValueError(f"taus must be finite, got {float(taus[~np.isfinite(taus)][0])!r}")
-        row = self._row()
-        _check_angles(np.abs(row).max(), tau_max)
-        return sign_probability_grid(row, self.k0, taus)[0]
+        _check_angles(np.abs(self._row).max(), tau_max)
+        return sign_probability_grid(self._row, self.k0, taus)[0]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ against an independent route.  The closed-form suite also checks the
 sign kernel behind System.probability_grid, the route of every sweep,
 peak and CSV, against the pair, rectangle (at its two degenerate points,
 |d14| = 1) and cube formulas, and the pruned route of FP sweeps against
-the dense kernel: a small sweep's FP must equal it exactly.
+the dense kernel: a small sweep's FP must equal it exactly.  It
+recomputes the FN of two with-FN sweeps, where node pair (2, 4) sets it,
+from the eigh of their layouts and an explicit loop over the node pairs.
 The oracle suites evolve System.spectrum(), since there the oracle is
 the reference.  Randomized draws use a fixed seed so runs are
 reproducible.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .entanglement import (
     concurrence,
     concurrence_oracle,
     negativity,
+    negativity_grid,
     negativity_oracle,
 )
 from .geometry import (
@@ -71,6 +75,10 @@ _STACK = 4
 # pruned (its curvature bound over 10 samples stays below 1).
 _PRUNED_SWEEP = (FIELD_ALONG_B, (4.0, 11.0), 0.25, 10.0, 0.01)
 
+# (kind, delta range, T) of the with-FN sweeps of the FN check, in steps of
+# 0.05: node pair (2, 4) sets FN at their middle points, delta = 5.05 and 4.25.
+_FN_SWEEPS = ((FIELD_PERPENDICULAR, (5.0, 5.1), 10.0), (FIELD_ALONG_B, (4.2, 4.3), 3.5))
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -92,8 +100,8 @@ def _random_system(rng) -> System:
 
 
 def suite_closed_forms(draws: int = 300) -> SuiteResult:
-    """Spectral-path probabilities vs the analytic formulas, and the
-    pruned sweep route vs the dense kernel.
+    """Spectral-path probabilities vs the analytic formulas, the pruned
+    sweep route vs the dense kernel, and sweep FN vs an explicit pair loop.
 
     Every closed form is compared with the eigh route on its layout
     (amplitude_grid, dtau = 0.01); the pair, the two degenerate
@@ -102,7 +110,10 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
     random rectangles are diagonalized, evolved and compared in stacks of
     _STACK.  The FP of one small rect-along sweep, which prunes, must
     equal the FP of the dense kernel on its rows exactly; if it does not,
-    the deviation is inf.
+    the deviation is inf.  The FN of two small with-FN rectangle sweeps
+    (_FN_SWEEPS) is recomputed from one eigh per sweep of its stacked
+    layouts' D, through amplitude_grid and negativity_grid over every
+    node pair.
     """
     rng = np.random.default_rng(_SEED)
     dtau = 0.01
@@ -148,6 +159,16 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
     dense = sign_probability_grid(rows, 1, tau_grid(sweep_T, sweep_dtau))
     if not np.array_equal(sweep.fp, _fp(dense)):
         dev = math.inf
+
+    for kind, delta_range, T in _FN_SWEEPS:
+        sweep = sweep1d(kind, delta_range, 0.05, T, dtau, with_fn=True)
+        D = np.stack([build_D(coupling_matrix(System(kind, delta=d).layout())) for d in sweep.grid])
+        probs = spectral(D, T)
+        best = [
+            negativity_grid(probs[:, i], probs[:, j]).max(axis=-1)
+            for i, j in combinations(range(probs.shape[-2]), 2)
+        ]
+        dev = max(dev, float(np.abs(sweep.fn - np.min(best, axis=0)).max()))
 
     return _result("closed-forms", dev, 1e-10)
 

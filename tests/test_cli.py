@@ -13,7 +13,7 @@ from spintransfer.cli import _write_csv, build_parser, main
 from spintransfer.dynamics import evolve
 from spintransfer.entanglement import Bipartition, concurrence, negativity, negativity_grid
 from spintransfer.geometry import NodeLayout
-from spintransfer.search import System, hpst_times
+from spintransfer.search import KINDS, System, hpst_times
 from spintransfer.verify import SuiteResult
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -135,6 +135,42 @@ def test_entangle_names_a_partition_node_beyond_n(tmp_path, capsys):
     assert code == 2
     assert "error: partition '12_35' names a node beyond 4" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "partition, message",
+    [
+        ("0_1", "node index 0 must be a positive integer"),
+        ("12_30", "node index 0 must be a positive integer"),
+        ("-1_2", "partition '-1_2' is not of the form '15_48'"),
+        ("True_2", "partition 'True_2' is not of the form '15_48'"),
+    ],
+)
+def test_entangle_names_a_partition_node_that_is_not_positive(tmp_path, capsys, partition, message):
+    out = tmp_path / "x.csv"
+    code = main(
+        ["entangle", "--system", "rect-along", "--delta", "2", "--T", "1",
+         "--out", str(out), f"--partition={partition}"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_every_coupling_parameter_has_its_flags():
+    # the flags come from KINDS, so a new kind or parameter needs no CLI edit
+    parser = build_parser()
+    for kind, (_, names) in KINDS.items():
+        for name in names:
+            for command in ("simulate", "entangle", "peaks"):
+                argv = [command, "--system", kind, f"--{name}", "2.5", "--T", "1"]
+                args = parser.parse_args(argv + (["--out", "x.csv"] if command != "peaks" else []))
+                assert getattr(args, name) == 2.5
+            args = parser.parse_args(
+                ["sweep", "--system", kind, "--T", "1", "--out", "x.csv",
+                 f"--{name}-min", "2", f"--{name}-max", "3", f"--{name}-step", "0.5"]
+            )
+            assert [getattr(args, f"{name}_{end}") for end in ("min", "max", "step")] == [2, 3, 0.5]
 
 
 def test_sweep_prints_interval(tmp_path, capsys):

@@ -40,9 +40,18 @@ def test_bipartition_validation():
     with pytest.raises(ValueError):
         Bipartition((1, 1), (2,))
     # 1.7 used to be truncated to node 1
-    with pytest.raises(ValueError, match="node index 1.7 must be an integer"):
+    with pytest.raises(ValueError, match="node index 1.7 must be a positive integer"):
         Bipartition((1.7,), (2,))
     assert Bipartition((1, 5), (4, 8)).label() == "15_48"
+
+
+@pytest.mark.parametrize("node", [0, -1, True])
+def test_bipartition_names_a_node_that_is_not_a_positive_integer(node):
+    # the message used to read "must be an integer in 1..inf"
+    for a, b in [((node,), (1,)), ((2, 3), (4, node))]:
+        with pytest.raises(ValueError) as err:
+            Bipartition(a, b)
+        assert str(err.value) == f"node index {node!r} must be a positive integer"
 
 
 def test_bipartition_labels_are_distinct():
@@ -240,6 +249,11 @@ def test_negativity_oracle_size_cap():
     part = Bipartition(tuple(range(1, 8)), tuple(range(8, 15)))
     with pytest.raises(ValueError):
         negativity_oracle(state, part)
+    # one node past the cap
+    state = _random_state(np.random.default_rng(13), 13)
+    part = Bipartition(tuple(range(1, 7)), tuple(range(7, 14)))
+    with pytest.raises(ValueError, match="bipartition spans 13 nodes, oracle cap is 12"):
+        negativity_oracle(state, part)
 
 
 def test_negativity_rejects_out_of_range_nodes():
@@ -347,7 +361,7 @@ def test_support_oracle_at_the_node_cap():
     # the closed form
     state = _random_state(np.random.default_rng(12), 12)
     part = Bipartition(tuple(range(1, 7)), tuple(range(7, 13)))
-    assert negativity_oracle(state, part) == pytest.approx(negativity(state, part), abs=1e-9)
+    assert negativity_oracle(state, part) == pytest.approx(negativity(state, part), abs=1e-12)
 
 
 @pytest.mark.parametrize("a, b", [((1, 5), (4, 8)), ((1, 2, 3), (4, 5, 6, 7, 8)), ((6,), (2, 7))])

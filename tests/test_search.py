@@ -1,5 +1,8 @@
 """Arrival peaks, min-max objectives, and the delta sweeps."""
 
+import copy
+import dataclasses
+import pickle
 import re
 from itertools import combinations
 
@@ -95,6 +98,79 @@ def test_rectangle_field_mode_is_its_kind():
 
 def test_system_accepts_numpy_integer_k0():
     assert System("box", delta1=1.0, delta2=2.0, k0=np.int64(8)).k0 == 8
+
+
+# One System of every kind, k0 off node 1 where there is room.
+_EVERY_KIND = [
+    System("chain2", k0=2),
+    System("rect-perp", delta=5.05, k0=3),
+    System("rect-along", delta=4.3),
+    System("box", delta1=9.0, delta2=26.2, k0=3),
+]
+
+
+@pytest.mark.parametrize("system", _EVERY_KIND, ids=lambda s: s.kind)
+def test_system_builds_its_coupling_row_once(monkeypatch, system):
+    # construction builds the row; the spectrum, the grids and the peaks read it
+    kinds = []
+    right = search.coupling_rows
+
+    def counting(kind, params):
+        kinds.append(kind)
+        return right(kind, params)
+
+    monkeypatch.setattr(search, "coupling_rows", counting)
+    fresh = dataclasses.replace(system)
+    taus = tau_grid(3.5, 0.01)
+    fresh.spectrum()
+    fresh.probability_grid(taus)
+    fresh.probability_grid(taus[:100])
+    hpst_times(fresh, 3.5, 0.01)
+    assert kinds == [system.kind]
+
+
+@pytest.mark.parametrize("system", _EVERY_KIND, ids=lambda s: s.kind)
+def test_system_row_is_the_read_only_closed_form_row(system):
+    params = [[getattr(system, name) for name in KINDS[system.kind][1]]]
+    assert np.array_equal(system._row, coupling_rows(system.kind, params))
+    assert not system._row.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        system._row[0, 1] = 2.0
+
+
+@pytest.mark.parametrize("system", _EVERY_KIND, ids=lambda s: s.kind)
+def test_system_copies_compare_hash_and_compute_as_the_original(system):
+    # the stored row is no field: equality, hashing and repr read the
+    # fields alone, and every copy computes what the original does
+    assert "_row" not in repr(system)
+    taus = tau_grid(3.5, 0.01)
+    probs, spec = system.probability_grid(taus), system.spectrum()
+    copies = [copy.copy(system), copy.deepcopy(system), pickle.loads(pickle.dumps(system))]
+    for other in [*copies, dataclasses.replace(system)]:
+        assert other == system and hash(other) == hash(system) and repr(other) == repr(system)
+        assert np.array_equal(other.probability_grid(taus), probs)
+        assert np.array_equal(other.spectrum().eigenvalues, spec.eigenvalues)
+        assert np.array_equal(other.spectrum().eigenvectors, spec.eigenvectors)
+    assert len({system, *copies}) == 1
+
+
+def test_replace_builds_the_new_row():
+    taus = tau_grid(10.0, 0.01)
+    rect = System("rect-perp", delta=5.05)
+    moved, fresh = dataclasses.replace(rect, delta=5.1), System("rect-perp", delta=5.1)
+    assert moved == fresh != rect
+    assert np.array_equal(moved.probability_grid(taus), fresh.probability_grid(taus))
+    assert not np.array_equal(moved.probability_grid(taus), rect.probability_grid(taus))
+    box = System("box", delta1=9.0, delta2=26.2)
+    assert np.array_equal(
+        dataclasses.replace(box, k0=5).probability_grid(taus),
+        System("box", delta1=9.0, delta2=26.2, k0=5).probability_grid(taus),
+    )
+    message = "delta must be a real number in [1e-09, 1e+09], got -1.0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(rect, delta=-1.0)
+    with pytest.raises(ValueError, match="rect-perp takes no delta1"):
+        dataclasses.replace(rect, delta1=2.0)
 
 
 def test_coupling_rows_match_coupling_matrix():

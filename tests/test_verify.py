@@ -2,6 +2,7 @@
 spectra and closed-form suites catch."""
 
 import inspect
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -159,3 +160,16 @@ def test_stacked_suites_take_any_draw_count(draws):
     # a last stack shorter than _STACK, and no box at all below 2 draws
     assert suite_closed_forms(draws).passed
     assert suite_spectra(draws).passed
+
+
+def test_closed_forms_suite_fails_on_an_fn_that_skips_pair_2_4(monkeypatch):
+    # node pair (2, 4) sets FN at the middle point of each FN check sweep;
+    # an FN that skips it passes every other check of the suite
+    def skipping(nodes, r):
+        return [pair for pair in combinations(nodes, r) if pair != (1, 3)]
+
+    monkeypatch.setattr(search, "combinations", skipping)
+    result = suite_closed_forms()
+    assert not result.passed
+    assert result.max_deviation > 0.05
+

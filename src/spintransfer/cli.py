@@ -21,13 +21,10 @@ import numpy as np
 
 from .dynamics import tau_grid
 from .entanglement import Bipartition, negativity_grid
-from .search import KINDS, System, hpst_times, sweep1d, sweep2d
+from .search import _PARAMS, KINDS, System, hpst_times, sweep1d, sweep2d
 from .verify import run_all
 
 __all__ = ["main"]
-
-# Every coupling parameter of some kind, in KINDS order: each gets its flags.
-_PARAMS = tuple(dict.fromkeys(name for _, names in KINDS.values() for name in names))
 
 
 def _system_from(args) -> System:
@@ -124,19 +121,6 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _add_system_flags(sub, with_out: bool, with_params: bool = True) -> None:
-    """--system, its coupling parameters and --k0 (with_params), the time grid, --out."""
-    sub.add_argument("--system", required=True, choices=KINDS)
-    if with_params:
-        for name in _PARAMS:
-            sub.add_argument(f"--{name}", type=float, default=None)
-        sub.add_argument("--k0", type=int, default=1)
-    sub.add_argument("--T", type=float, required=True, dest="T")
-    sub.add_argument("--dtau", type=float, default=0.01)
-    if with_out:
-        sub.add_argument("--out", required=True)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call.
@@ -144,18 +128,31 @@ def build_parser() -> argparse.ArgumentParser:
     parse_args leaves it unchanged (an append action copies its default
     before appending), so consecutive main() calls share no state.
     """
+    # Each shared flag group is declared once, as a parent parser that the
+    # subcommands copy in this order: the kind, its parameters and start
+    # node, the time grid, the output file, the threshold.
+    kind, system, grid, out, p0 = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    kind.add_argument("--system", required=True, choices=KINDS)
+    for name in _PARAMS:
+        system.add_argument(f"--{name}", type=float, default=None)
+    system.add_argument("--k0", type=int, default=1)
+    grid.add_argument("--T", type=float, required=True, dest="T")
+    grid.add_argument("--dtau", type=float, default=0.01)
+    out.add_argument("--out", required=True)
+    p0.add_argument("--p0", type=float, default=0.9)
+
     parser = argparse.ArgumentParser(
         prog="spintransfer",
         description="Excitation transfer and entanglement in small dipolar spin clusters.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    add = parser.add_subparsers(dest="command", required=True).add_parser
 
-    sub = subs.add_parser("simulate", help="transfer probabilities on a time grid")
-    _add_system_flags(sub, with_out=True)
+    sub = add(
+        "simulate", parents=[kind, system, grid, out], help="transfer probabilities on a time grid"
+    )
     sub.set_defaults(func=cmd_simulate)
 
-    sub = subs.add_parser("entangle", help="group negativities on a time grid")
-    _add_system_flags(sub, with_out=True)
+    sub = add("entangle", parents=[kind, system, grid, out], help="group negativities on a time grid")
     sub.add_argument(
         "--partition",
         action="append",
@@ -165,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.set_defaults(func=cmd_entangle)
 
-    sub = subs.add_parser("sweep", help="delta sweep of the min-max objectives")
-    _add_system_flags(sub, with_out=True, with_params=False)
-    sub.add_argument("--p0", type=float, default=0.9)
+    sub = add("sweep", parents=[kind, grid, out, p0], help="delta sweep of the min-max objectives")
     for name in _PARAMS:
         sub.add_argument(f"--{name}-min", type=float, default=None)
         sub.add_argument(f"--{name}-max", type=float, default=None)
@@ -175,12 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--fn", action="store_true", help="add the FN column (1D only)")
     sub.set_defaults(func=cmd_sweep)
 
-    sub = subs.add_parser("peaks", help="arrival peaks and the transfer window")
-    _add_system_flags(sub, with_out=False)
-    sub.add_argument("--p0", type=float, default=0.9)
+    sub = add("peaks", parents=[kind, system, grid, p0], help="arrival peaks and the transfer window")
     sub.set_defaults(func=cmd_peaks)
 
-    sub = subs.add_parser("verify", help="run the cross-check suites")
+    sub = add("verify", help="run the cross-check suites")
     sub.set_defaults(func=cmd_verify)
 
     return parser

@@ -97,6 +97,14 @@ def _check_angles(rate: float, tau_max: float, name: str = "d_1g") -> None:
         raise ValueError(f"angle {name} tau overflows: max|{name}| {rate!r} x tau {tau_max!r}")
 
 
+def _finite_max(name: str, array: np.ndarray) -> float:
+    """max |array| (0 if empty); ValueError names the first value that is not finite."""
+    top = float(np.abs(array).max(initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError(f"{name} must be finite, got {float(array[~np.isfinite(array)][0])!r}")
+    return top
+
+
 def _extreme_eigenvalue(spectrum: Spectrum) -> float:
     """max_j |lambda_j|, read off the ends of the ascending eigenvalues (of
     every spectrum of a stack)."""
@@ -229,7 +237,9 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     whichever other rows and times share the call.
 
     taus is one grid of K times shared by all rows, or a (G, K) array
-    holding row c's own times in taus[c].
+    holding row c's own times in taus[c].  Every row value and every tau
+    must be finite, and so must every angle d_1g tau; ValueError says which
+    is not before any probability is evaluated.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] not in _FLIPPED:
@@ -239,6 +249,7 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     taus = np.asarray(taus, dtype=float)
     if not (taus.ndim == 1 or taus.ndim == 2 and taus.shape[0] == n_points):
         raise ValueError(f"taus must have shape (K,) or ({n_points}, K), got {taus.shape}")
+    _check_angles(_finite_max("rows", rows), _finite_max("taus", taus))
     # d_1g tau for the nodes g >= 1, as (G, K) arrays; on a shared grid a
     # coupling that every row shares (d_12 = 1 along a sweep) is
     # evaluated once, as (1, K).

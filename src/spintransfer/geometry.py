@@ -52,7 +52,8 @@ class NodeLayout:
     distance between nodes 1 and 2 must be 1, fixing the length unit.
     The checks run in that order; the node checks read one array of
     squared pairwise distances.  Both arrays are stored as read-only
-    copies, so a layout cannot be changed after it has been checked.
+    copies, so a layout cannot be changed after it has been checked, and
+    copies and pickles are rebuilt through the constructor.
     """
 
     positions: np.ndarray
@@ -82,6 +83,9 @@ class NodeLayout:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "field_axis", axis)
 
+    def __reduce__(self):
+        return type(self), (self.positions, self.field_axis)
+
     @property
     def n_nodes(self) -> int:
         return self.positions.shape[0]
@@ -89,17 +93,25 @@ class NodeLayout:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Symmetric matrix of dimensionless couplings d_ij, zero diagonal."""
+    """Symmetric matrix of dimensionless couplings d_ij, zero diagonal.
+
+    d is stored as a read-only copy, so the matrix stays the one that was
+    checked; copies and pickles are rebuilt through the constructor.
+    """
 
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
+        d = np.array(self.d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("coupling matrix must be square")
         if not (d == d.T).all() or d.diagonal().any():
             raise ValueError("coupling matrix must be symmetric with zero diagonal")
+        d.flags.writeable = False
         object.__setattr__(self, "d", d)
+
+    def __reduce__(self):
+        return type(self), (self.d,)
 
     @property
     def n_nodes(self) -> int:

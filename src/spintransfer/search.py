@@ -19,7 +19,6 @@ diagonalize numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -70,6 +69,10 @@ KINDS = {
     FIELD_ALONG_B: (4, ("delta",)),
     "box": (8, ("delta1", "delta2")),
 }
+
+# Every coupling parameter of some kind, in KINDS order: the System fields
+# that __post_init__ checks, and the CLI's parameter flags.
+_PARAMS = tuple(dict.fromkeys(name for _, names in KINDS.values() for name in names))
 
 
 def _b2(delta):
@@ -158,7 +161,8 @@ class System:
     for the in-plane side and delta2 for the height).  The coupling
     parameters a kind requires (KINDS) must be real numbers, not bools,
     in the coupling domain [1e-9, 1e9] (sides b in [1e-3, 1e3]); the
-    others must be None.
+    others must be None.  Copies and pickles are rebuilt through the
+    constructor, so they are checked again and hold a read-only row.
     """
 
     kind: str
@@ -171,7 +175,7 @@ class System:
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
         need = KINDS[self.kind][1]
-        for name in ("delta", "delta1", "delta2"):
+        for name in _PARAMS:
             value = getattr(self, name)
             if value is None and name in need:
                 raise ValueError(f"{self.kind} requires {name}")
@@ -183,6 +187,9 @@ class System:
         # the closed-form first coupling row, shape (1, N), built once
         object.__setattr__(self, "_row", coupling_rows(self.kind, [[getattr(self, n) for n in need]]))
         self._row.flags.writeable = False
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.delta, self.delta1, self.delta2, self.k0)
 
     @property
     def n_nodes(self) -> int:
@@ -207,14 +214,10 @@ class System:
         """P_{k0 m}(tau_i) as an (N, len(taus)) array, from the closed-form
         coupling row through dynamics.sign_probability_grid.  taus must be
         a 1-D array of real numbers (not bools, strings or complex numbers);
-        every tau must be finite, and so must every angle d_1g tau."""
+        the kernel requires every tau, and every angle d_1g tau, finite."""
         taus = np.asarray(taus)
         if taus.ndim != 1 or taus.dtype.kind not in "iuf":
             raise ValueError(f"taus must be a 1-D real array, got {taus.dtype}, shape {taus.shape}")
-        tau_max = float(np.abs(taus).max(initial=0.0))
-        if not math.isfinite(tau_max):
-            raise ValueError(f"taus must be finite, got {float(taus[~np.isfinite(taus)][0])!r}")
-        _check_angles(np.abs(self._row).max(), tau_max)
         return sign_probability_grid(self._row, self.k0, taus)[0]
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: CSV output, summaries, exit codes."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -172,6 +173,25 @@ def test_every_coupling_parameter_has_its_flags():
             )
             assert [getattr(args, f"{name}_{end}") for end in ("min", "max", "step")] == [2, 3, 0.5]
 
+
+
+_HELP = {"-h", "--help"}
+_SYSTEM = {"--system", "--delta", "--delta1", "--delta2", "--k0", "--T", "--dtau"}
+_RANGES = {f"--{name}-{end}" for name in ("delta", "delta1", "delta2") for end in ("min", "max", "step")}
+_OPTIONS = {
+    "simulate": _HELP | _SYSTEM | {"--out"},
+    "entangle": _HELP | _SYSTEM | {"--out", "--partition"},
+    "sweep": _HELP | _RANGES | {"--system", "--T", "--dtau", "--out", "--p0", "--fn"},
+    "peaks": _HELP | _SYSTEM | {"--p0"},
+    "verify": _HELP,
+}
+
+
+def test_each_subcommand_has_exactly_its_option_strings():
+    # written out here, so a flag lost or gained by the shared flag groups fails
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in sub._actions for s in a.option_strings} for name, sub in subs.choices.items()}
+    assert got == _OPTIONS
 
 def test_sweep_prints_interval(tmp_path, capsys):
     out = tmp_path / "sweep.csv"

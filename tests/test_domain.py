@@ -212,3 +212,31 @@ def test_cli_angle_overflow_is_usage_error(tmp_path, capsys):
     assert main(argv) == 2
     assert "angle d_1g tau overflows: max|d_1g| 8.6 x tau 1e+308" in capsys.readouterr().err
     assert not out.exists()
+
+
+_ROW = coupling_rows("rect-along", [[4.3]])
+
+
+@pytest.mark.parametrize(
+    "rows, taus, message",
+    [
+        (_ROW, np.array([0.0, np.nan]), "taus must be finite, got nan"),
+        (_ROW, np.array([0.0, np.inf]), "taus must be finite, got inf"),
+        (_ROW, np.array([[0.0, -np.inf]]), "taus must be finite, got -inf"),
+        (np.vstack([_ROW, _ROW]), np.array([[0.0, 1.0], [np.nan, 2.0]]), "taus must be finite, got nan"),
+        (np.array([[0.0, 1.0, np.nan, 2.0]]), np.array([0.0, 1.0]), "rows must be finite, got nan"),
+        (np.array([[0.0, 1.0, 2.0, -np.inf]]), np.array([0.0, 1.0]), "rows must be finite, got -inf"),
+        (
+            coupling_rows("rect-along", [[1e9]]),
+            np.array([0.0, 1e300]),
+            "angle d_1g tau overflows: max|d_1g| 2000000000.0 x tau 1e+300",
+        ),
+    ],
+    ids=["nan-tau", "inf-tau", "inf-row-tau", "nan-row-tau", "nan-row", "inf-row", "angle"],
+)
+def test_kernel_refuses_values_that_give_no_probability(rows, taus, message):
+    # sign_probability_grid returned NaN, silently or with two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sign_probability_grid(rows, 1, taus)

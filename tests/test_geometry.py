@@ -1,5 +1,7 @@
 """Layouts, the delta parameterization, and dipolar couplings."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -183,6 +185,36 @@ def test_layout_cannot_change_after_its_checks():
     with pytest.raises(ValueError, match="read-only"):
         layout.field_axis[2] = 2.0
 
+
+
+def _copies(value):
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
+def test_layout_and_coupling_copies_are_rebuilt_read_only():
+    # copies and pickles of both held writeable arrays
+    layout = layout_parallelepiped(0.7, 1.3)
+    couplings = coupling_matrix(layout)
+    for other in _copies(layout):
+        assert np.array_equal(other.positions, layout.positions)
+        assert np.array_equal(other.field_axis, layout.field_axis)
+        assert np.array_equal(coupling_matrix(other).d, couplings.d)
+        for array in (other.positions, other.field_axis):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+    for other in (couplings, *_copies(couplings)):
+        assert np.array_equal(other.d, couplings.d) and not other.d.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            other.d[0, 1] = 5.0
+
+
+def test_coupling_matrix_keeps_the_checked_copy():
+    # the checked d was the caller's array, so a later edit reached build_D
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    couplings = CouplingMatrix(d)
+    d[0, 1] = 5.0
+    assert np.array_equal(couplings.d, [[0.0, 1.0], [1.0, 0.0]])
 
 @pytest.mark.parametrize(
     "d, message",

@@ -154,6 +154,32 @@ def test_system_copies_compare_hash_and_compute_as_the_original(system):
     assert len({system, *copies}) == 1
 
 
+
+@pytest.mark.parametrize("system", _EVERY_KIND, ids=lambda s: s.kind)
+def test_system_copies_are_rebuilt_with_a_read_only_row(system):
+    # a copied or unpickled row was writeable, so an edit could make a
+    # copy's grid disagree with its fields
+    taus = tau_grid(3.5, 0.01)
+    for other in (copy.copy(system), copy.deepcopy(system), pickle.loads(pickle.dumps(system))):
+        assert other == system and not other._row.flags.writeable
+        assert np.array_equal(other._row, system._row)
+        assert np.array_equal(other.probability_grid(taus), system.probability_grid(taus))
+        with pytest.raises(ValueError, match="read-only"):
+            other._row[0, 1] = 2.0
+
+
+def test_params_are_every_coupling_parameter_in_kinds_order():
+    assert search._PARAMS == ("delta", "delta1", "delta2")
+
+
+@pytest.mark.parametrize("system", _EVERY_KIND, ids=lambda s: s.kind)
+def test_system_refuses_every_parameter_its_kind_does_not_take(system):
+    fields = {name: getattr(system, name) for name in KINDS[system.kind][1]}
+    for name in search._PARAMS:
+        if name not in fields:
+            with pytest.raises(ValueError, match=f"^{system.kind} takes no {name}$"):
+                System(system.kind, **fields, **{name: 2.0})
+
 def test_replace_builds_the_new_row():
     taus = tau_grid(10.0, 0.01)
     rect = System("rect-perp", delta=5.05)

@@ -31,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .hamiltonian import _SIGN_VECTORS, Spectrum
+from .hamiltonian import _PSI, Spectrum
 
 __all__ = [
     "TransferState",
@@ -171,11 +171,8 @@ def amplitude_grid(spectrum: Spectrum, k0: int, T: float, dtau: float) -> np.nda
     return amps
 
 
-# K_p = {g : psi_p(g) = -1} for p = 1..N-1 by node count, in ascending
-# g; column p of hamiltonian's sign vectors is psi_p / sqrt N.
-_FLIPPED = {
-    n: [np.flatnonzero(u[:, p] < 0) for p in range(1, n)] for n, u in _SIGN_VECTORS.items()
-}
+# K_p = {g : psi_p(g) = -1} for p = 1..N-1 by node count, in ascending g.
+_FLIPPED = {n: [np.flatnonzero(psi[:, p] < 0) for p in range(1, n)] for n, psi in _PSI.items()}
 
 # Absolute error of numpy's float64 sin and cos, in units of eps: below
 # 0.26 eps for arguments up to 1e8 against long-double references
@@ -261,7 +258,7 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     cos = [np.cos(a, out=a) for a in angles]
     # e[p] = psi_p(k0) E_p / N, so the Walsh-Hadamard transform over p
     # gives P_{k0 m} at e[m] directly; scaling by +-1/N is exact.
-    scale = np.sign(_SIGN_VECTORS[n][k0 - 1]) / n
+    scale = _PSI[n][k0 - 1] / n
     e = np.empty((n, n_points, taus.shape[-1]))
     e[0] = 1.0 / n
     for p, flipped in enumerate(_FLIPPED[n], start=1):

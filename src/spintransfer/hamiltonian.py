@@ -8,11 +8,15 @@ contributes a global phase only, and is dropped: build_D returns D as a
 plain array.
 
 diagonalize is the numeric reference spectrum (eigh), of one D or of a
-stack of them.  For the pair, the
-rectangle and the box, _sign_spectrum gives the same eigensystem in
-closed form from the first coupling row; it is the one eigenvalue
-formula, behind search.System.spectrum(), and verify.suite_spectra
-checks it against diagonalize.
+stack of them.  For the pair, the rectangle and the box (N = 2, 4 or 8
+nodes, numbered from 0) every eigenvector of D is a sign pattern
+psi_p / sqrt N, psi_p(x) = (-1)**popcount(p & x), whatever the
+couplings; _PSI holds these signs, and sign_basis, _sign_spectrum and
+the probability kernel of dynamics all read them from it.
+_sign_spectrum gives the eigensystem in closed form from the first
+coupling row; it is the one eigenvalue formula, behind
+search.System.spectrum(), and verify.suite_spectra checks it against
+diagonalize.
 """
 
 from __future__ import annotations
@@ -30,7 +34,10 @@ __all__ = [
     "sign_basis",
 ]
 
-_SQRT2 = np.sqrt(2.0)
+# _PSI[n][x, p] = psi_p(x) = (-1)**popcount(p & x) for x, p in 0..n-1; the
+# table is symmetric, and column p / sqrt n is an eigenvector of D.
+_PSI = {n: np.array([[(-1.0) ** (x & p).bit_count() for p in range(n)] for x in range(n)])
+        for n in (2, 4, 8)}
 
 
 @dataclass(frozen=True)
@@ -70,9 +77,10 @@ def _sign_spectrum(row: np.ndarray) -> Spectrum:
     """Spectrum of D for the pair, the rectangle and the box from its first row.
 
     For these clusters (N = 2, 4 or 8 nodes) every eigenvector of D is a
-    sign pattern of sign_basis, whatever the couplings.  Row 1 of
+    sign pattern psi_j / sqrt N, whatever the couplings.  Row 1 of
     D u = lam u then gives each eigenvalue: with A_11 = 2 sum_k d_1k and
-    u_1j > 0, lam_j = sum_k d_1k (2 + u_kj / u_1j).  row is
+    u_kj / u_1j = psi_j(k - 1) on 1-based nodes k,
+    lam_j = sum_k d_1k (2 + psi_j(k - 1)).  row is
     (d_11 = 0, d_12, ..., d_1N); nothing checks that the rest of D has the
     symmetry this needs, so it takes the closed-form rows of
     search.coupling_rows, whose layouts have it.
@@ -84,24 +92,20 @@ def _sign_spectrum(row: np.ndarray) -> Spectrum:
 
 
 def sign_basis(s: int) -> np.ndarray:
-    """Orthonormal sign basis of dimension 2**s, one vector per row.
+    """Orthonormal sign basis of dimension N = 2**s, one vector per row.
 
-    Built by the doubling rule B_2M = ((1,1) x B_M, (1,-1) x B_M) / sqrt 2
-    from B_1 = {(1)}; every component has magnitude 2**(-s/2).  s must be
-    1, 2 or 3, where the rows are the eigenvectors of the pair, rectangle
-    and parallelepiped, on which _sign_spectrum is built.
+    Row p is psi_p / sqrt N, psi_p(x) = (-1)**popcount(p & x), the s-fold
+    Kronecker power of ((1, 1), (1, -1)) scaled to unit length; every
+    component is +-N**(-1/2) rounded once.  s must be 1, 2 or 3, where
+    the rows are the eigenvectors of the pair, rectangle and
+    parallelepiped, on which _sign_spectrum is built.
     """
     if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 1 <= s <= 3:
         raise ValueError(f"s must be an integer in [1, 3], got {s!r}")
-    basis = np.ones((1, 1))
-    for _ in range(s):
-        basis = np.vstack(
-            [np.hstack([basis, basis]), np.hstack([basis, -basis])]
-        ) / _SQRT2
-    return basis
+    return _PSI[2**s] / np.sqrt(2**s)
 
 
 # Eigenvectors of _sign_spectrum by node count, one per column, and the
-# matrix 2 + u_kj / u_1j that maps the first coupling row to eigenvalues.
-_SIGN_VECTORS = {2**s: sign_basis(s).T for s in (1, 2, 3)}
-_SIGN_RATIOS = {n: 2.0 + u / u[0] for n, u in _SIGN_VECTORS.items()}
+# matrix 2 + psi_j(k) that maps the first coupling row to eigenvalues.
+_SIGN_VECTORS = {n: psi / np.sqrt(n) for n, psi in _PSI.items()}
+_SIGN_RATIOS = {n: 2.0 + psi for n, psi in _PSI.items()}

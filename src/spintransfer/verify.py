@@ -16,7 +16,9 @@ recomputes the FN of two with-FN sweeps, where node pair (2, 4) sets it,
 from the eigh of their layouts and an explicit loop over the node pairs.
 The oracle suites evolve System.spectrum(), since there the oracle is
 the reference.  Randomized draws use a fixed seed so runs are
-reproducible.
+reproducible, and each suite takes its draw count as a non-negative
+integer.  A suite reduces all its deviations once, so a NaN among them
+makes max_deviation NaN and fails the suite.
 
 The layouts of the random draws are diagonalized as stacks, one eigh
 per stack (the closed-form suite evolves them with one amplitude_grid
@@ -28,6 +30,7 @@ per draw.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -88,8 +91,17 @@ class SuiteResult:
     passed: bool
 
 
-def _result(name: str, dev: float, tol: float) -> SuiteResult:
-    return SuiteResult(name, float(dev), tol, bool(dev <= tol))
+def _check_draws(draws) -> None:
+    """Require a draw count: an integer, not a bool, and not negative."""
+    if isinstance(draws, bool) or not isinstance(draws, numbers.Integral) or draws < 0:
+        raise ValueError(f"draws must be a non-negative integer, got {draws!r}")
+
+
+def _result(name: str, devs: list, tol: float) -> SuiteResult:
+    """The suite passes if its largest deviation (0.0 if it has none) is at
+    most tol; a NaN deviation propagates to max_deviation and fails it."""
+    dev = float(np.max(devs, initial=0.0))
+    return SuiteResult(name, dev, tol, bool(dev <= tol))
 
 
 def _random_system(rng) -> System:
@@ -115,13 +127,13 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
     layouts' D, through amplitude_grid and negativity_grid over every
     node pair.
     """
+    _check_draws(draws)
     rng = np.random.default_rng(_SEED)
     dtau = 0.01
-    dev = 0.0
+    devs = []
 
     def compare(probs, expected):
-        nonlocal dev
-        dev = max(dev, float(np.abs(probs - np.stack(expected, axis=-2)).max()))
+        devs.append(np.abs(probs - np.stack(expected, axis=-2)).max())
 
     def spectral(D, T):
         """P_{1 m} on tau_grid(T, dtau) from the eigh of D or of a stack of D's."""
@@ -158,7 +170,7 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
     rows = coupling_rows(kind, sweep.grid[:, None])
     dense = sign_probability_grid(rows, 1, tau_grid(sweep_T, sweep_dtau))
     if not np.array_equal(sweep.fp, _fp(dense)):
-        dev = math.inf
+        devs.append(math.inf)
 
     for kind, delta_range, T in _FN_SWEEPS:
         sweep = sweep1d(kind, delta_range, 0.05, T, dtau, with_fn=True)
@@ -168,27 +180,29 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
             negativity_grid(probs[:, i], probs[:, j]).max(axis=-1)
             for i, j in combinations(range(probs.shape[-2]), 2)
         ]
-        dev = max(dev, float(np.abs(sweep.fn - np.min(best, axis=0)).max()))
+        devs.append(np.abs(sweep.fn - np.min(best, axis=0)).max())
 
-    return _result("closed-forms", dev, 1e-10)
+    return _result("closed-forms", devs, 1e-10)
 
 
 def suite_concurrence(draws: int = 400) -> SuiteResult:
     """Pairwise concurrence closed form vs the spin-flip oracle."""
+    _check_draws(draws)
     rng = np.random.default_rng(_SEED + 1)
-    dev = 0.0
+    devs = []
     for _ in range(draws):
         sys = _random_system(rng)
         state = evolve(sys.spectrum(), sys.k0, float(rng.uniform(0.0, 40.0)))
         i, j = (int(x) + 1 for x in rng.choice(sys.n_nodes, size=2, replace=False))
-        dev = max(dev, abs(concurrence(state, i, j) - concurrence_oracle(state, i, j)))
-    return _result("concurrence-oracle", dev, 1e-10)
+        devs.append(abs(concurrence(state, i, j) - concurrence_oracle(state, i, j)))
+    return _result("concurrence-oracle", devs, 1e-10)
 
 
 def suite_negativity(draws: int = 350) -> SuiteResult:
     """Double negativity closed form vs the partial-transpose oracle."""
+    _check_draws(draws)
     rng = np.random.default_rng(_SEED + 2)
-    dev = 0.0
+    devs = []
     for _ in range(draws):
         sys = _random_system(rng)
         n = sys.n_nodes
@@ -197,8 +211,8 @@ def suite_negativity(draws: int = 350) -> SuiteResult:
         m1 = int(rng.integers(1, n))
         m2 = int(rng.integers(1, n - m1 + 1))
         part = Bipartition(tuple(perm[:m1]), tuple(perm[m1 : m1 + m2]))
-        dev = max(dev, abs(negativity(state, part) - negativity_oracle(state, part)))
-    return _result("negativity-oracle", dev, 1e-9)
+        devs.append(abs(negativity(state, part) - negativity_oracle(state, part)))
+    return _result("negativity-oracle", devs, 1e-9)
 
 
 def suite_spectra(draws: int = 200) -> SuiteResult:
@@ -211,11 +225,11 @@ def suite_spectra(draws: int = 200) -> SuiteResult:
     the layout's D even across degeneracies.  The rectangles and the
     boxes are each diagonalized and reconstructed as one stack.
     """
+    _check_draws(draws)
     rng = np.random.default_rng(_SEED + 3)
-    dev = 0.0
+    devs = []
 
     def compare(systems):
-        nonlocal dev
         if not systems:
             return
         D = np.stack([build_D(coupling_matrix(system.layout())) for system in systems])
@@ -225,10 +239,10 @@ def suite_spectra(draws: int = 200) -> SuiteResult:
             np.stack([spec.eigenvectors for spec in spectra]),
         )
         numeric = diagonalize(D)
-        dev = max(dev, float(np.abs(closed.eigenvalues - numeric.eigenvalues).max()))
+        devs.append(np.abs(closed.eigenvalues - numeric.eigenvalues).max())
         for spec in (closed, numeric):
             u, lam = spec.eigenvectors, spec.eigenvalues
-            dev = max(dev, float(np.abs((u * lam[:, None, :]) @ u.transpose(0, 2, 1) - D).max()))
+            devs.append(np.abs((u * lam[:, None, :]) @ u.transpose(0, 2, 1) - D).max())
 
     rects = []
     for _ in range(draws):
@@ -242,7 +256,7 @@ def suite_spectra(draws: int = 200) -> SuiteResult:
         boxes.append(System("box", delta1=b_to_delta(b1), delta2=b_to_delta(b2)))
     compare(boxes)
 
-    return _result("spectra", dev, 1e-10)
+    return _result("spectra", devs, 1e-10)
 
 
 def run_all() -> list:

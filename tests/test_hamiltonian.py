@@ -1,6 +1,8 @@
 """Single-excitation matrix assembly and the two diagonalization routes:
 the numeric eigh and System.spectrum() from the closed-form row."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,15 @@ from spintransfer.geometry import (
     coupling_matrix,
     layout_rectangle,
 )
-from spintransfer.hamiltonian import _SIGN_VECTORS, _sign_spectrum, build_D, diagonalize, sign_basis
+from spintransfer.hamiltonian import (
+    _PSI,
+    _SIGN_RATIOS,
+    _SIGN_VECTORS,
+    _sign_spectrum,
+    build_D,
+    diagonalize,
+    sign_basis,
+)
 from spintransfer.search import KINDS, System, coupling_rows
 
 sides = st.floats(min_value=0.25, max_value=4.0, allow_nan=False)
@@ -112,6 +122,46 @@ def test_sign_basis_orthonormal_rows(s):
     b = sign_basis(s)
     assert b.shape == (2**s, 2**s)
     assert np.allclose(b @ b.T, np.eye(2**s), atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_sign_basis_is_the_scaled_kronecker_power(s):
+    # the s-fold Kronecker power of ((1, 1), (1, -1)) over 2**(s/2): the
+    # same signs, and magnitudes within one ulp of it
+    kron = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * s) / 2.0 ** (s / 2)
+    b = sign_basis(s)
+    assert np.array_equal(np.sign(b), np.sign(kron))
+    assert np.all(np.abs(b - kron) <= np.spacing(np.abs(kron)))
+
+
+def test_sign_basis_of_the_rectangle_is_exact():
+    # +-1/2 is a float; a construction that divides by sqrt 2 twice gives
+    # 0.49999999999999994
+    assert set(np.abs(sign_basis(2)).ravel().tolist()) == {0.5}
+
+
+# max |B B^T - I| of the sign basis built by the doubling rule
+# B_2M = ((1,1) x B_M, (1,-1) x B_M) / sqrt 2, which divides by sqrt 2
+# once per level.
+DOUBLING_ORTHONORMALITY_ERROR = {1: 2.220446049250313e-16, 2: 1.1102230246251565e-16, 3: 6.661338147750939e-16}
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_sign_basis_orthonormal_no_worse_than_doubling(s):
+    b = sign_basis(s)
+    for gram in (b @ b.T, b.T @ b):
+        assert np.abs(gram - np.eye(2**s)).max() <= DOUBLING_ORTHONORMALITY_ERROR[s]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_sign_tables_follow_the_popcount_parity(n):
+    # psi_p(x) = (-1)**popcount(p & x), counted here from the binary digits;
+    # the eigenvectors and the eigenvalue map read the same table
+    psi = np.array([[-1.0 if bin(x & p).count("1") % 2 else 1.0 for p in range(n)] for x in range(n)])
+    assert np.array_equal(_PSI[n], psi)
+    assert np.array_equal(_SIGN_RATIOS[n], 2.0 + psi)
+    assert np.array_equal(_SIGN_VECTORS[n], sign_basis(n.bit_length() - 1))
+    assert np.array_equal(_SIGN_VECTORS[n], psi / np.sqrt(n))
 
 
 def test_sign_basis_rejects_out_of_range():

@@ -2,11 +2,14 @@
 spectra and closed-form suites catch."""
 
 import inspect
+import math
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import spintransfer.cli as cli
 import spintransfer.closedforms as closedforms
 import spintransfer.dynamics as dynamics
 import spintransfer.entanglement as entanglement
@@ -18,6 +21,7 @@ from spintransfer.verify import (
     _random_system,
     run_all,
     suite_closed_forms,
+    suite_concurrence,
     suite_negativity,
     suite_spectra,
 )
@@ -173,3 +177,36 @@ def test_closed_forms_suite_fails_on_an_fn_that_skips_pair_2_4(monkeypatch):
     assert not result.passed
     assert result.max_deviation > 0.05
 
+
+
+# (module, name, replacement, suite): a route that returns NaN where its
+# suite compares it.
+NAN_ROUTES = [
+    (verify, "concurrence", lambda state, i, j: math.nan, suite_concurrence),
+    (verify, "negativity", lambda state, part: math.nan, suite_negativity),
+    (closedforms, "cube_P", lambda taus: (np.full(taus.shape, np.nan),) * 8, suite_closed_forms),
+]
+
+
+@pytest.mark.parametrize("module, name, nan_route, suite", NAN_ROUTES, ids=[r[1] for r in NAN_ROUTES])
+def test_a_nan_deviation_fails_its_suite_and_the_cli(monkeypatch, capsys, module, name, nan_route, suite):
+    # max(dev, nan) is dev, so a running max would drop the NaN and pass
+    monkeypatch.setattr(module, name, nan_route)
+    result = suite(20)
+    assert not result.passed
+    assert math.isnan(result.max_deviation)
+    assert cli.main(["verify"]) == 1
+    assert f"{result.name} max_dev=nan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", [suite_closed_forms, suite_concurrence, suite_negativity, suite_spectra])
+@pytest.mark.parametrize("draws", [-5, True, False, 2.5, 3.0, None])
+def test_suites_refuse_a_bad_draw_count(suite, draws):
+    message = f"draws must be a non-negative integer, got {draws!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        suite(draws)
+
+
+def test_suites_take_a_numpy_integer_draw_count():
+    assert suite_concurrence(np.int64(3)).passed
+    assert suite_negativity(np.int64(3)).passed

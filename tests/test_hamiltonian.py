@@ -135,8 +135,8 @@ def test_sign_basis_is_the_scaled_kronecker_power(s):
 
 
 def test_sign_basis_of_the_rectangle_is_exact():
-    # +-1/2 is a float; a construction that divides by sqrt 2 twice gives
-    # 0.49999999999999994
+    # +-1/2 is exact in floating point, so one rounding of +-1/sqrt 4 gives
+    # it; two divisions by a rounded sqrt 2 give 0.49999999999999994
     assert set(np.abs(sign_basis(2)).ravel().tolist()) == {0.5}
 
 

@@ -11,6 +11,13 @@ entry by entry from the (m + 1)^2 entries between the empty state and
 the m single excitations (no 2^m x 2^m array), of which only the
 non-zero support is diagonalized: at most 1 + m + m1 m2 of the 2^m
 states, m1 = |A|, m2 = |B|, m = m1 + m2.
+
+The oracle recipes are written once, over a leading stack axis:
+_concurrence_oracles takes one (a_ij, P_i, P_j) per state and runs one
+eigvals over the stack of spin-flip products, and _partial_transposes
+builds the partial transposes of a stack of states that share (m, m1),
+which _negativity_oracles diagonalizes whole with one eigvalsh.  The
+per-state oracles are those recipes on a stack of one.
 """
 
 from __future__ import annotations
@@ -65,6 +72,12 @@ class Bipartition:
             raise ValueError("parts must be disjoint")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        # the 0-based rows of A then B, built once
+        object.__setattr__(self, "_rows", np.array(a + b) - 1)
+        self._rows.flags.writeable = False
+
+    def __reduce__(self):
+        return type(self), (self.a, self.b)
 
     def _check_nodes(self, n_nodes: int) -> None:
         """Require every node of both parts to lie in 1..n_nodes."""
@@ -73,7 +86,8 @@ class Bipartition:
 
     def weights(self, probs: np.ndarray):
         """(S_A, S_B): probs summed over the nodes of each part, along axis 0."""
-        return tuple(probs[[k - 1 for k in part]].sum(axis=0) for part in (self.a, self.b))
+        m1 = len(self.a)
+        return probs[self._rows[:m1]].sum(axis=0), probs[self._rows[m1:]].sum(axis=0)
 
     def label(self) -> str:
         """Compact rendering like '15_48' for a=(1,5), b=(4,8).
@@ -95,11 +109,18 @@ def sigma(state: TransferState, nodes) -> float:
     return float(1.0 - state.probabilities[idx].sum())
 
 
-def concurrence(state: TransferState, i: int, j: int) -> float:
-    """Concurrence between nodes i and j, C_ij = 2 sqrt(P_i P_j)."""
+def _pair_element(state: TransferState, i, j) -> complex:
+    """a_ij of two distinct nodes: density_element checks both node indices
+    before the pair is asked to be distinct."""
+    a_ij = density_element(state, i, j)
     if i == j:
         raise ValueError("concurrence needs two distinct nodes")
-    return 2.0 * abs(density_element(state, i, j))
+    return a_ij
+
+
+def concurrence(state: TransferState, i: int, j: int) -> float:
+    """Concurrence between nodes i and j, C_ij = 2 sqrt(P_i P_j)."""
+    return 2.0 * abs(_pair_element(state, i, j))
 
 
 # sigma_y x sigma_y written in the (|10>, |01>, |00>, |11>) basis used
@@ -114,26 +135,22 @@ _FLIP = np.array(
 )
 
 
-def concurrence_oracle(state: TransferState, i: int, j: int) -> float:
-    """Concurrence via the full spin-flip recipe, no closed form.
+def _concurrence_oracles(a_ij, p_i, p_j) -> np.ndarray:
+    """The spin-flip concurrence of a stack of pairs, from the (S,) arrays
+    of their density-matrix elements a_ij and probabilities P_i, P_j.
 
-    Builds the two-qubit reduced density matrix of the pair (i, j) in the
+    Builds each pair's two-qubit reduced density matrix in the
     (|10>, |01>, |00>, |11>) basis, forms the double spin flip
     rho_tilde = Y rho Y with Y = sigma_y x sigma_y, and evaluates the
     usual combination of the square-rooted eigenvalues of
-    conj(rho_tilde) @ rho.
+    conj(rho_tilde) @ rho, with one eigvals over the (S, 4, 4) stack.
     """
-    if i == j:
-        raise ValueError("concurrence needs two distinct nodes")
-    a_ij = density_element(state, i, j)
-    p_i = state.probabilities[i - 1]
-    p_j = state.probabilities[j - 1]
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = p_i
-    rho[1, 1] = p_j
-    rho[0, 1] = a_ij
-    rho[1, 0] = np.conj(a_ij)
-    rho[2, 2] = 1.0 - p_i - p_j
+    rho = np.zeros((len(a_ij), 4, 4), dtype=complex)
+    rho[:, 0, 0] = p_i
+    rho[:, 1, 1] = p_j
+    rho[:, 0, 1] = a_ij
+    rho[:, 1, 0] = np.conj(a_ij)
+    rho[:, 2, 2] = 1.0 - p_i - p_j
     rho_tilde = _FLIP @ rho @ _FLIP
     ev = np.linalg.eigvals(np.conj(rho_tilde) @ rho).real
     # The product has a single nonzero eigenvalue for this state family;
@@ -141,9 +158,16 @@ def concurrence_oracle(state: TransferState, i: int, j: int) -> float:
     # those before the square root keeps eigensolver noise of order eps
     # from being amplified to sqrt(eps).  The cut is relative, so tiny
     # concurrences are resolved, not truncated.
-    ev[ev < 1e-12 * max(float(ev.max()), 0.0)] = 0.0
+    ev[ev < 1e-12 * np.maximum(ev.max(axis=-1, keepdims=True), 0.0)] = 0.0
     lam = np.sqrt(ev)
-    return float(max(0.0, 2.0 * lam.max() - lam.sum()))
+    return np.maximum(0.0, 2.0 * lam.max(axis=-1) - lam.sum(axis=-1))
+
+
+def concurrence_oracle(state: TransferState, i: int, j: int) -> float:
+    """Concurrence via the full spin-flip recipe, no closed form: the
+    stacked recipe of _concurrence_oracles on the one pair (i, j)."""
+    p = state.probabilities
+    return float(_concurrence_oracles([_pair_element(state, i, j)], p[i - 1 : i], p[j - 1 : j])[0])
 
 
 def negativity_grid(s_a, s_b):
@@ -180,6 +204,48 @@ def _transposed_positions(m: int, m1: int):
     return targets.size, *where.reshape(moved.shape)
 
 
+def _restriction(state: TransferState, p: Bipartition):
+    """(v, sigma): the state's amplitudes on the nodes of A then B, and the
+    probability outside A u B."""
+    p._check_nodes(state.n_nodes)
+    if p._rows.size > _MAX_ORACLE_NODES:
+        raise ValueError(f"bipartition spans {p._rows.size} nodes, oracle cap is {_MAX_ORACLE_NODES}")
+    return state.amplitudes[p._rows], 1.0 - state.probabilities[p._rows].sum()
+
+
+def _partial_transposes(v, outside, m1: int) -> np.ndarray:
+    """The partial transposes over the first m1 of m spins of a stack of
+    reduced density matrices, from their (S, m) amplitudes v and the
+    weights outside (S,) or scalar: an (S, size, size) complex array over
+    the 1 + m + m1 (m - m1) states of _transposed_positions.
+
+    Each reduced matrix is the outer product of (0, v) with its
+    conjugate, with the outside weight added at <0|0>.
+    """
+    s, m = v.shape
+    w = np.zeros((s, m + 1), dtype=complex)
+    w[:, 1:] = v
+    rho = w[:, :, None] * np.conj(w[:, None, :])
+    rho[:, 0, 0] += outside
+    size, row_at, col_at = _transposed_positions(m, m1)
+    t_rho = np.zeros((s, size, size), dtype=complex)
+    t_rho[:, row_at, col_at] = rho
+    return t_rho
+
+
+def _double_negative_sum(ev) -> np.ndarray:
+    """Twice the absolute sum of the eigenvalues below _NEGATIVE_FLOOR, along
+    the last axis."""
+    return 2.0 * np.abs(np.where(ev < _NEGATIVE_FLOOR, ev, 0.0).sum(axis=-1))
+
+
+def _negativity_oracles(v, outside, m1: int) -> np.ndarray:
+    """The partial-transpose negativities of a stack of states that share
+    (m, m1), from _partial_transposes(v, outside, m1): one eigvalsh over
+    the whole blocks, whose zero rows add only exact zero eigenvalues."""
+    return _double_negative_sum(np.linalg.eigvalsh(_partial_transposes(v, outside, m1)))
+
+
 def negativity_oracle(state: TransferState, p: Bipartition) -> float:
     """Double negativity by explicit partial transposition.
 
@@ -196,23 +262,12 @@ def negativity_oracle(state: TransferState, p: Bipartition) -> float:
     are kept, in ascending state order, and diagonalized; the rest of the
     partial transpose carries exact zero eigenvalues, so no 2^m x 2^m
     array is built.  Returns twice the absolute sum of the negative
-    eigenvalues.
+    eigenvalues.  The block is built by _partial_transposes on a stack
+    of one.
     """
-    p._check_nodes(state.n_nodes)
-    nodes = p.a + p.b
-    m = len(nodes)
-    if m > _MAX_ORACLE_NODES:
-        raise ValueError(f"bipartition spans {m} nodes, oracle cap is {_MAX_ORACLE_NODES}")
-    idx = [k - 1 for k in nodes]
-    v = np.zeros(m + 1, dtype=complex)
-    v[1:] = state.amplitudes[idx]
-    rho = np.outer(v, np.conj(v))
-    rho[0, 0] += 1.0 - state.probabilities[idx].sum()
-    size, row_at, col_at = _transposed_positions(m, len(p.a))
-    t_rho = np.zeros((size, size), dtype=complex)
-    t_rho[row_at, col_at] = rho
+    v, outside = _restriction(state, p)
+    t_rho = _partial_transposes(v[None], outside, len(p.a))[0]
     # A row that is identically zero (and so its column: t_rho is
     # Hermitian) only adds an exact eigenvalue 0, which the floor ignores.
     keep = t_rho.any(axis=0).nonzero()[0]
-    ev = np.linalg.eigvalsh(t_rho[keep[:, None], keep])
-    return float(2.0 * abs(ev[ev < _NEGATIVE_FLOOR].sum()))
+    return float(_double_negative_sum(np.linalg.eigvalsh(t_rho[keep[:, None], keep])))

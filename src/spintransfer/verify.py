@@ -24,7 +24,12 @@ The layouts of the random draws are diagonalized as stacks, one eigh
 per stack (the closed-form suite evolves them with one amplitude_grid
 call per stack of _STACK); each matrix of a stack gets the spectrum and
 amplitudes it would get alone, so the deviations are those of one call
-per draw.
+per draw.  The oracle suites likewise evolve every draw (one evolve and
+one closed-form call per draw) before they run each oracle once over a
+stack: one eigvals over all the concurrence draws, one eigvalsh per
+split (|A u B|, |A|) of the negativity draws.  Each state gets the
+oracle value the per-state concurrence_oracle or negativity_oracle
+gives it.
 """
 
 from __future__ import annotations
@@ -37,14 +42,15 @@ from itertools import combinations
 import numpy as np
 
 from . import closedforms
-from .dynamics import amplitude_grid, evolve, sign_probability_grid, tau_grid
+from .dynamics import amplitude_grid, density_element, evolve, sign_probability_grid, tau_grid
 from .entanglement import (
     Bipartition,
+    _concurrence_oracles,
+    _negativity_oracles,
+    _restriction,
     concurrence,
-    concurrence_oracle,
     negativity,
     negativity_grid,
-    negativity_oracle,
 )
 from .geometry import (
     FIELD_ALONG_B,
@@ -97,7 +103,7 @@ def _check_draws(draws) -> None:
         raise ValueError(f"draws must be a non-negative integer, got {draws!r}")
 
 
-def _result(name: str, devs: list, tol: float) -> SuiteResult:
+def _result(name: str, devs, tol: float) -> SuiteResult:
     """The suite passes if its largest deviation (0.0 if it has none) is at
     most tol; a NaN deviation propagates to max_deviation and fails it."""
     dev = float(np.max(devs, initial=0.0))
@@ -186,24 +192,40 @@ def suite_closed_forms(draws: int = 300) -> SuiteResult:
 
 
 def suite_concurrence(draws: int = 400) -> SuiteResult:
-    """Pairwise concurrence closed form vs the spin-flip oracle."""
+    """Pairwise concurrence closed form vs the spin-flip oracle.
+
+    Every draw is evolved and its closed form taken first; the oracle then
+    runs once over the stack of all draws (one eigvals of the (draws, 4, 4)
+    spin-flip products).
+    """
     _check_draws(draws)
     rng = np.random.default_rng(_SEED + 1)
-    devs = []
+    closed, a_ij, p_i, p_j = [], [], [], []
     for _ in range(draws):
         sys = _random_system(rng)
         state = evolve(sys.spectrum(), sys.k0, float(rng.uniform(0.0, 40.0)))
         i, j = (int(x) + 1 for x in rng.choice(sys.n_nodes, size=2, replace=False))
-        devs.append(abs(concurrence(state, i, j) - concurrence_oracle(state, i, j)))
-    return _result("concurrence-oracle", devs, 1e-10)
+        closed.append(concurrence(state, i, j))
+        a_ij.append(density_element(state, i, j))
+        p_i.append(state.probabilities[i - 1])
+        p_j.append(state.probabilities[j - 1])
+    oracle = _concurrence_oracles(np.array(a_ij, dtype=complex), np.array(p_i), np.array(p_j))
+    return _result("concurrence-oracle", np.abs(np.array(closed) - oracle), 1e-10)
 
 
 def suite_negativity(draws: int = 350) -> SuiteResult:
-    """Double negativity closed form vs the partial-transpose oracle."""
+    """Double negativity closed form vs the partial-transpose oracle.
+
+    Every draw is evolved and its closed form taken first; the draws are
+    then grouped by split (|A u B|, |A|), and the oracle runs once per
+    split over the stack of its draws (one eigvalsh of their whole
+    1 + m + m1 m2 blocks).
+    """
     _check_draws(draws)
     rng = np.random.default_rng(_SEED + 2)
-    devs = []
-    for _ in range(draws):
+    closed = []
+    splits = {}  # (m, m1) -> ([draw], [amplitudes on A u B], [weight outside])
+    for draw in range(draws):
         sys = _random_system(rng)
         n = sys.n_nodes
         state = evolve(sys.spectrum(), sys.k0, float(rng.uniform(0.0, 40.0)))
@@ -211,8 +233,16 @@ def suite_negativity(draws: int = 350) -> SuiteResult:
         m1 = int(rng.integers(1, n))
         m2 = int(rng.integers(1, n - m1 + 1))
         part = Bipartition(tuple(perm[:m1]), tuple(perm[m1 : m1 + m2]))
-        devs.append(abs(negativity(state, part) - negativity_oracle(state, part)))
-    return _result("negativity-oracle", devs, 1e-9)
+        closed.append(negativity(state, part))
+        index, v, outside = splits.setdefault((m1 + m2, m1), ([], [], []))
+        amplitudes, weight = _restriction(state, part)
+        index.append(draw)
+        v.append(amplitudes)
+        outside.append(weight)
+    oracle = np.empty(draws)
+    for (_, m1), (index, v, outside) in splits.items():
+        oracle[index] = _negativity_oracles(np.array(v), np.array(outside), m1)
+    return _result("negativity-oracle", np.abs(np.array(closed) - oracle), 1e-9)
 
 
 def suite_spectra(draws: int = 200) -> SuiteResult:

@@ -1,6 +1,8 @@
 """Concurrence and negativity closed forms against their oracles."""
 
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -8,9 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spintransfer.dynamics import TransferState, evolve
+from spintransfer.dynamics import TransferState, density_element, evolve
 from spintransfer.entanglement import (
     Bipartition,
+    _concurrence_oracles,
+    _negativity_oracles,
+    _partial_transposes,
+    _restriction,
     concurrence,
     concurrence_oracle,
     negativity,
@@ -373,3 +379,95 @@ def test_support_oracle_diagonalizes_only_the_support(monkeypatch, a, b):
     m1, m2 = len(a), len(b)
     order = 1 + m1 + m2 + m1 * m2
     assert sizes == [(order, order)]
+
+
+@pytest.mark.parametrize("i, j, bad", [(9, 9, 9), (True, True, True), (1.5, 1.5, 1.5), (1, 1.0, 1.0)])
+@pytest.mark.parametrize("route", [concurrence, concurrence_oracle])
+def test_concurrence_names_a_bad_node_before_asking_for_two(route, i, j, bad):
+    # equal indices that are no node at all used to read "concurrence needs
+    # two distinct nodes"; the node check comes first, as in density_element
+    state = _state("rect-along", delta=4.3)
+    with pytest.raises(ValueError) as err:
+        route(state, i, j)
+    assert str(err.value) == f"node index {bad!r} must be an integer in 1..4"
+
+
+@pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda part: pickle.loads(pickle.dumps(part))])
+def test_bipartition_copies_keep_read_only_rows(copy_of):
+    part = Bipartition((1, 5), (4, 8))
+    probs = _state(tau=2.1).probabilities
+    twin = copy_of(part)
+    assert twin == part and twin is not part
+    assert not twin._rows.flags.writeable
+    np.testing.assert_array_equal(twin._rows, [0, 4, 3, 7])
+    assert twin.weights(probs) == part.weights(probs)
+
+
+# Every kind at every k0 and these times; at tau = 0 the state sits on k0,
+# so sigma = 1 for parts without it and the partial transpose has zero rows.
+_STACK_TAUS = (0.0, np.pi, 2.0 * np.pi, 1.3, 37.7)
+_STACK_KINDS = {
+    "chain2": {},
+    "rect-perp": dict(delta=6.2),
+    "rect-along": dict(delta=4.3),
+    "box": dict(delta1=3.0, delta2=7.0),
+}
+
+
+def _stack_states(kind):
+    sys = System(kind, **_STACK_KINDS[kind])
+    spec = sys.spectrum()
+    return [evolve(spec, k0, tau) for k0 in range(1, sys.n_nodes + 1) for tau in _STACK_TAUS]
+
+
+@pytest.mark.parametrize("kind", list(_STACK_KINDS))
+def test_stacked_concurrence_equals_the_per_state_oracle(kind):
+    # every ordered pair of every state, as one stack
+    cases = [
+        (state, i, j)
+        for state in _stack_states(kind)
+        for i, j in itertools.permutations(range(1, state.n_nodes + 1), 2)
+    ]
+    stacked = _concurrence_oracles(
+        np.array([density_element(state, i, j) for state, i, j in cases]),
+        np.array([state.probabilities[i - 1] for state, i, j in cases]),
+        np.array([state.probabilities[j - 1] for state, i, j in cases]),
+    )
+    per_state = np.array([concurrence_oracle(state, i, j) for state, i, j in cases])
+    assert stacked.shape == per_state.shape
+    assert np.abs(stacked - per_state).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind", list(_STACK_KINDS))
+def test_stacked_negativity_equals_the_per_state_oracle(kind):
+    # every split (m, m1) the kind has, each on one stack of all its states
+    # with nodes drawn per state; the stack diagonalizes whole blocks, the
+    # per-state oracle only their support
+    rng = np.random.default_rng(7)
+    states = _stack_states(kind)
+    n = states[0].n_nodes
+    for m in range(2, n + 1):
+        for m1 in range(1, m):
+            parts = []
+            for _ in states:
+                perm = tuple(int(k) for k in rng.permutation(n) + 1)
+                parts.append(Bipartition(perm[:m1], perm[m1:m]))
+            v, outside = zip(*(_restriction(state, part) for state, part in zip(states, parts)))
+            stacked = _negativity_oracles(np.array(v), np.array(outside), m1)
+            per_state = np.array([negativity_oracle(state, part) for state, part in zip(states, parts)])
+            assert stacked.shape == per_state.shape
+            assert np.abs(stacked - per_state).max() <= 1e-15
+
+
+def test_partial_transposes_of_a_stack_are_those_of_each_state():
+    # the builder on a stack equals it on each state alone, zero rows included
+    states = _stack_states("box")
+    part = Bipartition((2, 7), (1, 4, 5))
+    v, outside = zip(*(_restriction(state, part) for state in states))
+    stack = _partial_transposes(np.array(v), np.array(outside), 2)
+    assert stack.shape == (len(states), 12, 12)
+    for t_rho, v_s, outside_s in zip(stack, v, outside):
+        np.testing.assert_array_equal(t_rho, _partial_transposes(v_s[None], outside_s, 2)[0])
+    # tau = 0 with k0 = 3 outside A u B: sigma = 1 at <0|0>, all else zero
+    empty = stack[2 * len(_STACK_TAUS)]
+    assert empty[0, 0] == 1.0 and np.count_nonzero(empty) == 1

@@ -210,3 +210,73 @@ def test_suites_refuse_a_bad_draw_count(suite, draws):
 def test_suites_take_a_numpy_integer_draw_count():
     assert suite_concurrence(np.int64(3)).passed
     assert suite_negativity(np.int64(3)).passed
+
+
+def _captured_deviations(monkeypatch, suite, draws):
+    """The deviations suite(draws) hands to verify._result, as an array."""
+    captured, result = [], verify._result
+
+    def capturing(name, devs, tol):
+        captured.append(np.asarray(devs))
+        return result(name, devs, tol)
+
+    monkeypatch.setattr(verify, "_result", capturing)
+    assert suite(draws).passed
+    return captured[0]
+
+
+def test_concurrence_suite_deviations_are_those_of_a_per_draw_loop(monkeypatch):
+    # the suite as it ran before its oracle was stacked: the same rng calls
+    # in the same order, and one oracle call per draw
+    rng = np.random.default_rng(verify._SEED + 1)
+    expected = []
+    for _ in range(400):
+        sys = _random_system(rng)
+        state = dynamics.evolve(sys.spectrum(), sys.k0, float(rng.uniform(0.0, 40.0)))
+        i, j = (int(x) + 1 for x in rng.choice(sys.n_nodes, size=2, replace=False))
+        expected.append(abs(entanglement.concurrence(state, i, j) - entanglement.concurrence_oracle(state, i, j)))
+    np.testing.assert_array_equal(_captured_deviations(monkeypatch, suite_concurrence, 400), expected)
+
+
+def test_negativity_suite_deviations_are_those_of_a_per_draw_loop(monkeypatch):
+    rng = np.random.default_rng(verify._SEED + 2)
+    expected = []
+    for _ in range(350):
+        sys = _random_system(rng)
+        n = sys.n_nodes
+        state = dynamics.evolve(sys.spectrum(), sys.k0, float(rng.uniform(0.0, 40.0)))
+        perm = rng.permutation(n) + 1
+        m1 = int(rng.integers(1, n))
+        m2 = int(rng.integers(1, n - m1 + 1))
+        part = entanglement.Bipartition(tuple(perm[:m1]), tuple(perm[m1 : m1 + m2]))
+        expected.append(abs(entanglement.negativity(state, part) - entanglement.negativity_oracle(state, part)))
+    np.testing.assert_array_equal(_captured_deviations(monkeypatch, suite_negativity, 350), expected)
+
+
+@pytest.mark.parametrize("draws", [0, 1, 5])
+def test_stacked_oracle_suites_take_any_draw_count(monkeypatch, draws):
+    # an empty stack, a stack of one, and splits of one or two draws
+    assert _captured_deviations(monkeypatch, suite_concurrence, draws).shape == (draws,)
+    monkeypatch.undo()
+    assert _captured_deviations(monkeypatch, suite_negativity, draws).shape == (draws,)
+
+
+# (module attribute, wrong value, suite, smallest deviation expected)
+ORACLE_MUTATIONS = [
+    ("_FLIP", np.eye(4), suite_concurrence, 0.9),  # no spin flip: 0.997
+    (  # no transposition: 0.99999
+        "_transposed_positions",
+        lambda m, m1, positions=entanglement._transposed_positions: positions(m, 0),
+        suite_negativity,
+        0.9,
+    ),
+    ("_NEGATIVE_FLOOR", 1e-3, suite_negativity, 1e-3),  # small positive eigenvalues count: 1.97e-3
+]
+
+
+@pytest.mark.parametrize("name, wrong, suite, least", ORACLE_MUTATIONS, ids=[m[0] for m in ORACLE_MUTATIONS])
+def test_a_wrong_stacked_oracle_fails_its_suite(monkeypatch, name, wrong, suite, least):
+    monkeypatch.setattr(entanglement, name, wrong)
+    result = suite()
+    assert not result.passed
+    assert result.max_deviation > least

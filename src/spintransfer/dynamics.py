@@ -121,9 +121,10 @@ def _uniform(lo: float, hi: float, step: float) -> np.ndarray:
     # a ratio within a relative 1e-9 below an integer counts as that
     # integer: (26.4 - 26) / 0.1 = 3.999999999999986 gives 4.
     ratio = span / step * (1.0 + 1e-9)
-    if not ratio <= _MAX_GRID_POINTS:
+    # at most the cap of whole steps; NaN and inf fail the comparison too
+    if not ratio < _MAX_GRID_POINTS + 1:
         raise ValueError(
-            f"a span of {span!r} in steps of {step!r} makes {ratio:.3g} grid steps, "
+            f"a span of {span!r} in steps of {step!r} makes {ratio:.7g} grid steps, "
             f"cap is {_MAX_GRID_POINTS}"
         )
     return np.minimum(lo + np.arange(int(ratio) + 1) * step, hi)

@@ -8,21 +8,20 @@ A u B.  Both come with brute-force oracles: the concurrence via the
 spin-flipped two-qubit reduced density matrix, the negativity via an
 explicit partial transpose of the reduced density matrix on A u B, built
 entry by entry from the (m + 1)^2 entries between the empty state and
-the m single excitations (no 2^m x 2^m array), of which only the
-non-zero support is diagonalized: at most 1 + m + m1 m2 of the 2^m
-states, m1 = |A|, m2 = |B|, m = m1 + m2.
+the m single excitations (no 2^m x 2^m array), whose whole block of
+1 + m + m1 m2 of the 2^m states is diagonalized, m1 = |A|, m2 = |B|,
+m = m1 + m2.
 
-The oracle recipes are written once, over a leading stack axis:
+Each oracle recipe is written once, over many states:
 _concurrence_oracles takes one (a_ij, P_i, P_j) per state and runs one
-eigvals over the stack of spin-flip products, and _partial_transposes
-builds the partial transposes of a stack of states that share (m, m1),
-which _negativity_oracles diagonalizes whole with one eigvalsh.  The
-per-state oracles are those recipes on a stack of one.
+eigvals over the stack of spin-flip products, and _negativity_oracles
+takes a list of (v, outside, m1) cases, groups them by split (m, m1)
+and runs one eigvalsh per split over the blocks _partial_transposes
+builds.  The per-state oracles are those recipes on one state.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -47,8 +46,8 @@ _NEGATIVE_FLOOR = -1e-12
 # Cap on the nodes m one bipartition of the brute-force negativity spans.
 # _transposed_positions writes every state as an int64 bit mask, which
 # holds at most 63 spins; 12 keeps well inside that and covers every kind
-# (at most 8 nodes).  The block diagonalized is small either way: at most
-# 1 + m + m1 m2 states, 49 at m = 12.
+# (at most 8 nodes).  The block diagonalized is small either way:
+# 1 + m + m1 m2 states, at most 49 at m = 12.
 _MAX_ORACLE_NODES = 12
 
 
@@ -86,6 +85,7 @@ class Bipartition:
 
     def weights(self, probs: np.ndarray):
         """(S_A, S_B): probs summed over the nodes of each part, along axis 0."""
+        self._check_nodes(len(probs))
         m1 = len(self.a)
         return probs[self._rows[:m1]].sum(axis=0), probs[self._rows[m1:]].sum(axis=0)
 
@@ -178,12 +178,9 @@ def negativity_grid(s_a, s_b):
 
 def negativity(state: TransferState, p: Bipartition) -> float:
     """Double negativity between the parts of p, from the closed form."""
-    p._check_nodes(state.n_nodes)
     return float(negativity_grid(*p.weights(state.probabilities)))
 
 
-# Cached: building the positions takes as long as the rest of a small call.
-@functools.cache
 def _transposed_positions(m: int, m1: int):
     """Where transposing the first m1 of m spins moves the reduced density
     matrix's (m + 1)^2 entries between the empty state and the m single
@@ -233,17 +230,25 @@ def _partial_transposes(v, outside, m1: int) -> np.ndarray:
     return t_rho
 
 
-def _double_negative_sum(ev) -> np.ndarray:
-    """Twice the absolute sum of the eigenvalues below _NEGATIVE_FLOOR, along
-    the last axis."""
-    return 2.0 * np.abs(np.where(ev < _NEGATIVE_FLOOR, ev, 0.0).sum(axis=-1))
+def _negativity_oracles(cases) -> np.ndarray:
+    """The partial-transpose negativities of a sequence of (v, outside, m1)
+    cases, one value per case in case order: v the amplitudes on the m
+    nodes of A then B, outside the weight outside A u B, m1 = |A|.
 
-
-def _negativity_oracles(v, outside, m1: int) -> np.ndarray:
-    """The partial-transpose negativities of a stack of states that share
-    (m, m1), from _partial_transposes(v, outside, m1): one eigvalsh over
-    the whole blocks, whose zero rows add only exact zero eigenvalues."""
-    return _double_negative_sum(np.linalg.eigvalsh(_partial_transposes(v, outside, m1)))
+    The cases are grouped by split (m, m1); each group's whole blocks from
+    _partial_transposes go through one eigvalsh, whose zero rows add only
+    exact zero eigenvalues.  Returns twice the absolute sum of each
+    block's eigenvalues below _NEGATIVE_FLOOR.
+    """
+    splits = {}
+    for index, (v, _, m1) in enumerate(cases):
+        splits.setdefault((len(v), m1), []).append(index)
+    oracle = np.empty(len(cases))
+    for (_, m1), index in splits.items():
+        v, outside, _ = zip(*(cases[k] for k in index))
+        ev = np.linalg.eigvalsh(_partial_transposes(np.array(v), np.array(outside), m1))
+        oracle[index] = 2.0 * np.abs(np.where(ev < _NEGATIVE_FLOOR, ev, 0.0).sum(axis=-1))
+    return oracle
 
 
 def negativity_oracle(state: TransferState, p: Bipartition) -> float:
@@ -257,17 +262,10 @@ def negativity_oracle(state: TransferState, p: Bipartition) -> float:
     Transposing the A spins moves each entry (i, j) to
     ((i & ~A) | (j & A), (j & ~A) | (i & A)), A the bit mask of the A
     spins, onto 1 + m + m1 m2 states: the empty state, the m single
-    excitations and one A-B pair per m1 x m2 (25 of 256 for a box).  Of
-    these, the states whose rows and columns are not identically zero
-    are kept, in ascending state order, and diagonalized; the rest of the
-    partial transpose carries exact zero eigenvalues, so no 2^m x 2^m
-    array is built.  Returns twice the absolute sum of the negative
-    eigenvalues.  The block is built by _partial_transposes on a stack
-    of one.
+    excitations and one A-B pair per m1 x m2 (25 of 256 for a box).  That
+    block is diagonalized whole; the rest of the partial transpose
+    carries exact zero eigenvalues, so no 2^m x 2^m array is built.
+    Returns twice the absolute sum of the negative eigenvalues: the
+    grouped recipe of _negativity_oracles on a list of one case.
     """
-    v, outside = _restriction(state, p)
-    t_rho = _partial_transposes(v[None], outside, len(p.a))[0]
-    # A row that is identically zero (and so its column: t_rho is
-    # Hermitian) only adds an exact eigenvalue 0, which the floor ignores.
-    keep = t_rho.any(axis=0).nonzero()[0]
-    return float(_double_negative_sum(np.linalg.eigvalsh(t_rho[keep[:, None], keep])))
+    return float(_negativity_oracles([(*_restriction(state, p), len(p.a))])[0])

@@ -25,11 +25,11 @@ per stack (the closed-form suite evolves them with one amplitude_grid
 call per stack of _STACK); each matrix of a stack gets the spectrum and
 amplitudes it would get alone, so the deviations are those of one call
 per draw.  The oracle suites likewise evolve every draw (one evolve and
-one closed-form call per draw) before they run each oracle once over a
-stack: one eigvals over all the concurrence draws, one eigvalsh per
-split (|A u B|, |A|) of the negativity draws.  Each state gets the
-oracle value the per-state concurrence_oracle or negativity_oracle
-gives it.
+one closed-form call per draw) before they run each oracle once over
+all their draws: one eigvals over the concurrence draws, and one
+_negativity_oracles call over the negativity draws, which makes one
+eigvalsh per split (|A u B|, |A|).  Each state gets the oracle value
+the per-state concurrence_oracle or negativity_oracle gives it.
 """
 
 from __future__ import annotations
@@ -216,16 +216,15 @@ def suite_concurrence(draws: int = 400) -> SuiteResult:
 def suite_negativity(draws: int = 350) -> SuiteResult:
     """Double negativity closed form vs the partial-transpose oracle.
 
-    Every draw is evolved and its closed form taken first; the draws are
-    then grouped by split (|A u B|, |A|), and the oracle runs once per
-    split over the stack of its draws (one eigvalsh of their whole
-    1 + m + m1 m2 blocks).
+    Every draw is evolved and its closed form taken first; the oracle then
+    runs once over the list of all draws, which _negativity_oracles
+    groups by split (|A u B|, |A|) into one eigvalsh per split of their
+    whole 1 + m + m1 m2 blocks.
     """
     _check_draws(draws)
     rng = np.random.default_rng(_SEED + 2)
-    closed = []
-    splits = {}  # (m, m1) -> ([draw], [amplitudes on A u B], [weight outside])
-    for draw in range(draws):
+    closed, cases = [], []
+    for _ in range(draws):
         sys = _random_system(rng)
         n = sys.n_nodes
         state = evolve(sys.spectrum(), sys.k0, float(rng.uniform(0.0, 40.0)))
@@ -234,15 +233,8 @@ def suite_negativity(draws: int = 350) -> SuiteResult:
         m2 = int(rng.integers(1, n - m1 + 1))
         part = Bipartition(tuple(perm[:m1]), tuple(perm[m1 : m1 + m2]))
         closed.append(negativity(state, part))
-        index, v, outside = splits.setdefault((m1 + m2, m1), ([], [], []))
-        amplitudes, weight = _restriction(state, part)
-        index.append(draw)
-        v.append(amplitudes)
-        outside.append(weight)
-    oracle = np.empty(draws)
-    for (_, m1), (index, v, outside) in splits.items():
-        oracle[index] = _negativity_oracles(np.array(v), np.array(outside), m1)
-    return _result("negativity-oracle", np.abs(np.array(closed) - oracle), 1e-9)
+        cases.append((*_restriction(state, part), m1))
+    return _result("negativity-oracle", np.abs(np.array(closed) - _negativity_oracles(cases)), 1e-9)
 
 
 def suite_spectra(draws: int = 200) -> SuiteResult:

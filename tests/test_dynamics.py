@@ -81,6 +81,20 @@ def test_tau_grid_rejects_oversized(T, dtau):
         tau_grid(T, dtau)
 
 
+@pytest.mark.parametrize("T, dtau", [(1.0, 1e-6), (10.0, 1e-5), (1e6, 1.0)])
+def test_tau_grid_takes_exactly_the_cap_of_steps(T, dtau):
+    # 1,000,000 steps is the cap itself, although the step ratio is
+    # widened by a relative 1e-9 before it is compared
+    taus = tau_grid(T, dtau)
+    assert taus.size == 1_000_001
+    assert taus[-1] == T
+
+
+def test_tau_grid_refuses_one_step_past_the_cap():
+    with pytest.raises(ValueError, match="makes 1000001 grid steps, cap is 1000000"):
+        tau_grid(1e6 + 1, 1.0)
+
+
 def test_tau_grid_stops_at_T():
     # 1 / 0.35 = 2.86: the last whole step is 0.7, not 1.05
     assert np.array_equal(tau_grid(1.0, 0.35), np.arange(3) * 0.35)

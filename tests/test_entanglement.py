@@ -332,13 +332,14 @@ def test_support_oracle_matches_full_matrix_on_every_split(m1, m2):
 
 
 def test_support_oracle_weight_outside_both_parts(monkeypatch):
-    # sigma = 1: rho^{T_A} is the projector on the empty state, a 1 x 1 support
+    # sigma = 1: rho^{T_A} is the projector on the empty state; the whole
+    # 1 + 7 + 12 block goes to eigvalsh as a stack of one
     state = _state(tau=0.0, k0=8)
     part = Bipartition((1, 2, 3), (4, 5, 6, 7))
     assert _full_matrix_oracle(state, part) == 0.0
     sizes = _eigvalsh_sizes(monkeypatch)
     assert negativity_oracle(state, part) == 0.0
-    assert sizes == [(1, 1)]
+    assert sizes == [(1, 20, 20)]
 
 
 def test_support_oracle_matches_full_matrix_at_ten_nodes():
@@ -378,7 +379,7 @@ def test_support_oracle_diagonalizes_only_the_support(monkeypatch, a, b):
     negativity_oracle(state, Bipartition(a, b))
     m1, m2 = len(a), len(b)
     order = 1 + m1 + m2 + m1 * m2
-    assert sizes == [(order, order)]
+    assert sizes == [(1, order, order)]
 
 
 @pytest.mark.parametrize("i, j, bad", [(9, 9, 9), (True, True, True), (1.5, 1.5, 1.5), (1, 1.0, 1.0)])
@@ -440,9 +441,8 @@ def test_stacked_concurrence_equals_the_per_state_oracle(kind):
 
 @pytest.mark.parametrize("kind", list(_STACK_KINDS))
 def test_stacked_negativity_equals_the_per_state_oracle(kind):
-    # every split (m, m1) the kind has, each on one stack of all its states
-    # with nodes drawn per state; the stack diagonalizes whole blocks, the
-    # per-state oracle only their support
+    # every split (m, m1) the kind has, each on one list of all its states
+    # with nodes drawn per state; both routes diagonalize whole blocks
     rng = np.random.default_rng(7)
     states = _stack_states(kind)
     n = states[0].n_nodes
@@ -452,11 +452,39 @@ def test_stacked_negativity_equals_the_per_state_oracle(kind):
             for _ in states:
                 perm = tuple(int(k) for k in rng.permutation(n) + 1)
                 parts.append(Bipartition(perm[:m1], perm[m1:m]))
-            v, outside = zip(*(_restriction(state, part) for state, part in zip(states, parts)))
-            stacked = _negativity_oracles(np.array(v), np.array(outside), m1)
+            stacked = _negativity_oracles([(*_restriction(s, p), m1) for s, p in zip(states, parts)])
             per_state = np.array([negativity_oracle(state, part) for state, part in zip(states, parts)])
             assert stacked.shape == per_state.shape
-            assert np.abs(stacked - per_state).max() <= 1e-15
+            np.testing.assert_array_equal(stacked, per_state)
+
+
+def test_grouped_negativity_equals_the_per_state_oracle_on_random_states():
+    # 300 random states per node count 2..12, all splits mixed in one list;
+    # half have an exactly zero amplitude in A u B, so their blocks have
+    # zero rows
+    rng = np.random.default_rng(0)
+    states, parts = [], []
+    for n in range(2, 13):
+        for draw in range(300):
+            amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+            perm = tuple(int(k) for k in rng.permutation(n) + 1)
+            m1 = int(rng.integers(1, n))
+            m2 = int(rng.integers(1, n - m1 + 1))
+            if draw % 2:
+                amp[perm[int(rng.integers(m1 + m2))] - 1] = 0.0
+            amp /= np.linalg.norm(amp)
+            states.append(TransferState(0.0, 1, amp, np.abs(amp) ** 2))
+            parts.append(Bipartition(perm[:m1], perm[m1 : m1 + m2]))
+    grouped = _negativity_oracles([(*_restriction(s, p), len(p.a)) for s, p in zip(states, parts)])
+    per_state = np.array([negativity_oracle(state, part) for state, part in zip(states, parts)])
+    np.testing.assert_array_equal(grouped, per_state)
+
+
+@pytest.mark.parametrize("probs", [np.full(4, 0.25), np.full((4, 7), 0.25)])
+def test_weights_name_a_node_beyond_n(probs):
+    # a state's probabilities or an (N, K) grid, with no node 5 or 8
+    with pytest.raises(ValueError, match="partition '15_48' names a node beyond 4"):
+        Bipartition((1, 5), (4, 8)).weights(probs)
 
 
 def test_partial_transposes_of_a_stack_are_those_of_each_state():

@@ -625,6 +625,13 @@ def test_sweep1d_grid_cap():
         sweep1d(FIELD_ALONG_B, (2.0, 7.0), 1e-300, 3.5, 0.1)
 
 
+def test_delta_grid_takes_exactly_the_cap_of_steps():
+    # a range of 1e6 steps is at the cap, not past it
+    grid = search._uniform_grid("delta_range", (1.0, 2.0), "delta_step", 1e-6, strict=True)
+    assert grid.size == 1_000_001
+    assert grid[0] == 1.0 and grid[-1] == 2.0
+
+
 def test_sweep_work_cap():
     # 100001 points x 100001 tau samples x 4 nodes: refused before any
     # point is evaluated

@@ -50,7 +50,7 @@ def cmd_simulate(args) -> int:
 
 def _parse_partition(text: str, n_nodes: int) -> Bipartition:
     halves = text.split("_")
-    if len(halves) != 2 or not all(h.isdigit() for h in halves):
+    if len(halves) != 2 or not all(h.isascii() and h.isdigit() for h in halves):
         raise ValueError(f"partition {text!r} is not of the form '15_48'")
     part = Bipartition(tuple(int(c) for c in halves[0]), tuple(int(c) for c in halves[1]))
     part._check_nodes(n_nodes)
@@ -74,6 +74,10 @@ def cmd_sweep(args) -> int:
     params = KINDS[args.system][1]
     if not params:
         raise ValueError(f"{args.system} has no coupling parameter to sweep")
+    for end in ("min", "max", "step"):
+        for name in _PARAMS:
+            if name not in params and getattr(args, f"{name}_{end}") is not None:
+                raise ValueError(f"{args.system} sweep takes no --{name}-{end}")
     if args.fn and len(params) > 1:
         raise ValueError("the FN column is available for 1D sweeps only")
     ranges, steps = [], []
@@ -82,7 +86,8 @@ def cmd_sweep(args) -> int:
             if getattr(args, f"{name}_{end}") is None:
                 raise ValueError(f"{args.system} sweep requires --{name}-{end}")
         ranges.append((getattr(args, f"{name}_min"), getattr(args, f"{name}_max")))
-        steps.append(getattr(args, f"{name}_step"))
+        step = getattr(args, f"{name}_step")
+        steps.append(0.01 if step is None else step)
     if len(params) > 1:
         result = sweep2d(*ranges, steps, args.T, args.dtau, P0=args.p0)
     else:
@@ -166,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _PARAMS:
         sub.add_argument(f"--{name}-min", type=float, default=None)
         sub.add_argument(f"--{name}-max", type=float, default=None)
-        sub.add_argument(f"--{name}-step", type=float, default=0.01)
+        # None marks a flag not given; cmd_sweep applies the 0.01 default
+        sub.add_argument(f"--{name}-step", type=float, default=None)
     sub.add_argument("--fn", action="store_true", help="add the FN column (1D only)")
     sub.set_defaults(func=cmd_sweep)
 

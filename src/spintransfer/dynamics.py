@@ -229,10 +229,11 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     E_p is the mean over q of exp(-i tau sum_{g in K_p} psi_q(g) d_1g);
     expanding the product leaves only the subsets of K_p with XOR 0,
     which for N <= 8 are the empty set and, for the box, K_p itself
-    (four nodes, sign +1).  Only real cos and sin are taken,
-    and every sample is computed from its row and its tau alone, in the
-    same order of operations, so it comes out bit for bit the same
-    whichever other rows and times share the call.
+    (four nodes, sign +1).  The sum over p is a Walsh-Hadamard transform,
+    taken as log2 N levels of one whole-array butterfly each.  Only real
+    cos and sin are taken, and every sample is computed from its row and
+    its tau alone, in the same order of operations, so it comes out bit
+    for bit the same whichever other rows and times share the call.
 
     taus is one grid of K times shared by all rows, or a (G, K) array
     holding row c's own times in taus[c].  Every row value and every tau
@@ -251,10 +252,8 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     # d_1g tau for the nodes g >= 1, as (G, K) arrays; on a shared grid a
     # coupling that every row shares (d_12 = 1 along a sweep) is
     # evaluated once, as (1, K).
-    angles = [
-        rows[:1, g, None] * taus if np.all(rows[:, g] == rows[0, g]) else rows[:, g, None] * taus
-        for g in range(1, n)
-    ]
+    shared = (rows == rows[:1]).all(axis=0)
+    angles = [(rows[:1] if shared[g] else rows)[:, g, None] * taus for g in range(1, n)]
     sin = [np.sin(a) for a in angles] if n == 8 else None  # only the box's E_p hold sines
     cos = [np.cos(a, out=a) for a in angles]
     # e[p] = psi_p(k0) E_p / N, so the Walsh-Hadamard transform over p
@@ -267,28 +266,33 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
         if n == 8:
             total = total + reduce(np.multiply, [sin[g - 1] for g in flipped])
         np.multiply(total, scale[p], out=e[p])
-    # Walsh-Hadamard transform, one butterfly at a time on whole (G, K)
-    # slabs: they never overlap, so numpy takes no defensive copies.
+    # The trig tables are done with; freeing them keeps the transform's
+    # n/2-slab temporary within the peak they set.
+    del angles, sin, cos
+    # Walsh-Hadamard transform, one butterfly per level: low[a, c] and
+    # high[a, c] are the slabs p = 2 a 2**bit + c and p + 2**bit, c < 2**bit.
     for bit in range(n.bit_length() - 1):
-        for low in range(n):
-            if not low >> bit & 1:
-                high = low | 1 << bit
-                plus = e[low] + e[high]
-                np.subtract(e[low], e[high], out=e[high])
-                e[low] = plus
+        low, high = e.reshape(-1, 2, 1 << bit, *e.shape[1:]).swapaxes(0, 1)
+        plus = low + high
+        np.subtract(low, high, out=high)
+        low[...] = plus
     return e.transpose(1, 0, 2)
 
 
 def evolve(spectrum: Spectrum, k0: int, tau: float) -> TransferState:
     """State of the excitation at a single time tau, which must be a finite
     real number (not a bool or a string), and so must every angle
-    lambda_j tau."""
+    lambda_j tau.  spectrum must be one spectrum, not a stack (amplitude_grid
+    takes stacks)."""
     _check_finite(tau=tau)
     tau = float(tau)
+    lam = spectrum.eigenvalues
+    if lam.ndim != 1:
+        raise ValueError(f"evolve takes one spectrum, got eigenvalues of shape {lam.shape}")
     _check_node(k0, spectrum.n_nodes)
     _check_angles(_extreme_eigenvalue(spectrum), abs(tau), "lambda_j")
     u = spectrum.eigenvectors
-    amp = (u * u[k0 - 1]) @ np.exp(-0.5j * spectrum.eigenvalues * tau)
+    amp = (u * u[k0 - 1]) @ np.exp(-0.5j * lam * tau)
     return TransferState(tau=tau, k0=k0, amplitudes=amp, probabilities=np.abs(amp) ** 2)
 
 

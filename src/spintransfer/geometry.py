@@ -193,13 +193,8 @@ def layout_parallelepiped(b1: float, b2: float) -> NodeLayout:
     """
     _check_domain("b1", b1, _SIDE_DOMAIN)
     _check_domain("b2", b2, _SIDE_DOMAIN)
-    base = np.array(
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, b1, 0.0], [0.0, b1, 0.0]]
-    )
-    top = base + np.array([0.0, 0.0, b2])
-    return NodeLayout(
-        positions=np.vstack([base, top]), field_axis=np.array([0.0, 0.0, 1.0])
-    )
+    base = layout_rectangle(b1, FIELD_PERPENDICULAR)
+    return NodeLayout(np.vstack([base.positions, base.positions + [0.0, 0.0, b2]]), base.field_axis)
 
 
 def coupling_matrix(layout: NodeLayout) -> CouplingMatrix:

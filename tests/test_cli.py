@@ -145,6 +145,9 @@ def test_entangle_names_a_partition_node_beyond_n(tmp_path, capsys):
         ("12_30", "node index 0 must be a positive integer"),
         ("-1_2", "partition '-1_2' is not of the form '15_48'"),
         ("True_2", "partition 'True_2' is not of the form '15_48'"),
+        # digits that str.isdigit accepts but int() does not, or reads as 1
+        ("1\u00b2_3", "partition '1\u00b2_3' is not of the form '15_48'"),
+        ("\u0661_3", "partition '\u0661_3' is not of the form '15_48'"),
     ],
 )
 def test_entangle_names_a_partition_node_that_is_not_positive(tmp_path, capsys, partition, message):
@@ -299,6 +302,33 @@ def test_sweep_rejects_system_flags(tmp_path, flag):
               "--T", "1", "--out", str(tmp_path / "x.csv"), *flag])
     assert err.value.code == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--system", "rect-perp", "--delta-min", "4", "--delta-max", "4.2", "--delta-step", "0.1",
+          "--delta2-min", "9", "--delta1-step", "5"], "--delta2-min"),
+        (["--system", "box", "--delta1-min", "9", "--delta1-max", "9", "--delta2-min", "26",
+          "--delta2-max", "26", "--delta-min", "3", "--delta-step", "0.2"], "--delta-min"),
+        (["--system", "rect-along", "--delta-min", "2", "--delta-max", "3",
+          "--delta1-step", "0.01"], "--delta1-step"),
+    ],
+)
+def test_sweep_refuses_range_flags_of_another_kind(tmp_path, capsys, argv, flag):
+    # they used to be ignored, with exit 0
+    out = tmp_path / "x.csv"
+    assert main(["sweep", *argv, "--T", "1", "--out", str(out)]) == 2
+    kind = argv[1]
+    assert capsys.readouterr().err == f"error: {kind} sweep takes no {flag}\n"
+    assert not out.exists()
+
+
+def test_sweep_step_defaults_to_a_hundredth(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--system", "rect-along", "--delta-min", "2", "--delta-max", "2.05",
+                 "--T", "1", "--out", str(out)]) == 0
+    assert np.array_equal(_load_csv(out)[1][:, 0], [2.0, 2.01, 2.02, 2.03, 2.04, 2.05])
 
 
 def test_sweep_names_missing_range_flag(tmp_path, capsys):

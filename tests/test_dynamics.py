@@ -324,6 +324,16 @@ def test_amplitude_grid_stack_rejects_bad_arguments():
         amplitude_grid(stack, 1, 1e308, 1e303)
 
 
+@pytest.mark.parametrize("size", [3, 4])
+def test_evolve_refuses_a_stack_of_spectra(size):
+    # a stack of 4 used to give (4, 4, 4) amplitudes whose probabilities
+    # summed to 1.27, and a stack of 3 failed inside matmul
+    stack = _eigh_stack([System("rect-along", delta=d) for d in np.linspace(2.0, 6.0, size)])
+    message = f"evolve takes one spectrum, got eigenvalues of shape ({size}, 4)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evolve(stack, 1, 0.7)
+
+
 @pytest.mark.parametrize(
     "k0, T, dtau",
     [(0, 1.0, 0.1), (5, 1.0, 0.1), (True, 1.0, 0.1), (1, 1.0, 0.0), (1, 1.0, 2.0), (1, np.nan, 0.1),

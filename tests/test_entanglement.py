@@ -278,8 +278,13 @@ def test_both_negativity_routes_name_a_node_beyond_n():
 
 
 def _full_matrix_oracle(state, p):
-    """The oracle as it was before the support cut: eigvalsh of the whole
-    2^m x 2^m partial transpose, kept here as the reference."""
+    """The textbook oracle, kept here as the reference: eigvalsh of the
+    whole 2^m x 2^m partial transpose.
+
+    The support oracle of the test names below is negativity_oracle.  It
+    diagonalizes the whole block of the 1 + m + m1 m2 basis states that
+    the partial transpose can reach, which holds its support; rows that
+    are zero for a given state stay in the block."""
     nodes = p.a + p.b
     m = len(nodes)
     m1 = len(p.a)
@@ -350,7 +355,7 @@ def test_support_oracle_matches_full_matrix_at_ten_nodes():
 
 def test_support_oracle_builds_no_full_matrix_at_ten_nodes():
     # the 1024 x 1024 partial transpose alone is 16 MB; a warm call holds
-    # only the 36 x 36 support block and its copies
+    # only the block of 1 + 10 + 5 x 5 = 36 reachable states and its copies
     state = _random_state(np.random.default_rng(10), 10)
     part = Bipartition((2, 4, 6, 8, 10), (1, 3, 5, 7, 9))
     expected = negativity_oracle(state, part)
@@ -372,7 +377,7 @@ def test_support_oracle_at_the_node_cap():
 
 
 @pytest.mark.parametrize("a, b", [((1, 5), (4, 8)), ((1, 2, 3), (4, 5, 6, 7, 8)), ((6,), (2, 7))])
-def test_support_oracle_diagonalizes_only_the_support(monkeypatch, a, b):
+def test_support_oracle_diagonalizes_the_whole_block(monkeypatch, a, b):
     # the empty state, the m single excitations and the m1 m2 A-B pairs
     state = _state(tau=1.3)
     sizes = _eigvalsh_sizes(monkeypatch)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 import numpy as np
@@ -25,6 +26,9 @@ from .search import _PARAMS, KINDS, System, hpst_times, sweep1d, sweep2d
 from .verify import run_all
 
 __all__ = ["main"]
+
+# The ends of each --<param>-<end> range flag of sweep.
+_ENDS = ("min", "max", "step")
 
 
 def _system_from(args) -> System:
@@ -74,36 +78,29 @@ def cmd_sweep(args) -> int:
     params = KINDS[args.system][1]
     if not params:
         raise ValueError(f"{args.system} has no coupling parameter to sweep")
-    for end in ("min", "max", "step"):
-        for name in _PARAMS:
-            if name not in params and getattr(args, f"{name}_{end}") is not None:
-                raise ValueError(f"{args.system} sweep takes no --{name}-{end}")
-    if args.fn and len(params) > 1:
+    flags = {(name, end): getattr(args, f"{name}_{end}") for end in _ENDS for name in _PARAMS}
+    for (name, end), value in flags.items():
+        if name not in params and value is not None:
+            raise ValueError(f"{args.system} sweep takes no --{name}-{end}")
+    grid2d = len(params) > 1
+    if args.fn and grid2d:
         raise ValueError("the FN column is available for 1D sweeps only")
-    ranges, steps = [], []
-    for name in params:
-        for end in ("min", "max"):
-            if getattr(args, f"{name}_{end}") is None:
-                raise ValueError(f"{args.system} sweep requires --{name}-{end}")
-        ranges.append((getattr(args, f"{name}_min"), getattr(args, f"{name}_max")))
-        step = getattr(args, f"{name}_step")
-        steps.append(0.01 if step is None else step)
-    if len(params) > 1:
-        result = sweep2d(*ranges, steps, args.T, args.dtau, P0=args.p0)
+    for name, end in itertools.product(params, _ENDS[:2]):
+        if flags[name, end] is None:
+            raise ValueError(f"{args.system} sweep requires --{name}-{end}")
+    ranges = [(flags[name, "min"], flags[name, "max"]) for name in params]
+    steps = [0.01 if flags[name, "step"] is None else flags[name, "step"] for name in params]
+    if grid2d:
+        result = sweep2d(*ranges, steps, args.T, args.dtau, args.p0)
+        summary = [f"HPST points: {int(result.hpst.sum())} of {result.hpst.size}"]
     else:
-        result = sweep1d(
-            args.system, ranges[0], steps[0], args.T, args.dtau, P0=args.p0, with_fn=args.fn
-        )
+        result = sweep1d(args.system, ranges[0], steps[0], args.T, args.dtau, args.p0, args.fn)
+        intervals = [f"HPST interval: [{lo:.6g}, {hi:.6g}]" for lo, hi in result.intervals]
+        summary = intervals or ["no HPST interval found"]
     columns = [result.grid, result.fp] + ([result.fn] if args.fn else [])
     header = [*params, "FP"] + (["FN"] if args.fn else [])
     _write_csv(args.out, header, columns)
-    if len(params) > 1:
-        print(f"HPST points: {int(result.hpst.sum())} of {result.hpst.size}")
-    elif result.intervals:
-        for lo, hi in result.intervals:
-            print(f"HPST interval: [{lo:.6g}, {hi:.6g}]")
-    else:
-        print("no HPST interval found")
+    print(*summary, sep="\n")
     return 0
 
 
@@ -118,12 +115,11 @@ def cmd_peaks(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    failed = False
-    for suite in run_all():
+    suites = run_all()
+    for suite in suites:
         status = "PASS" if suite.passed else "FAIL"
         print(f"{suite.name} max_dev={suite.max_deviation:.3g} tol={suite.tolerance:g} {status}")
-        failed = failed or not suite.passed
-    return 1 if failed else 0
+    return 0 if all(suite.passed for suite in suites) else 1
 
 
 @functools.cache
@@ -168,11 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_entangle)
 
     sub = add("sweep", parents=[kind, grid, out, p0], help="delta sweep of the min-max objectives")
-    for name in _PARAMS:
-        sub.add_argument(f"--{name}-min", type=float, default=None)
-        sub.add_argument(f"--{name}-max", type=float, default=None)
-        # None marks a flag not given; cmd_sweep applies the 0.01 default
-        sub.add_argument(f"--{name}-step", type=float, default=None)
+    for name, end in itertools.product(_PARAMS, _ENDS):
+        # None marks a flag not given; cmd_sweep applies the 0.01 step default
+        sub.add_argument(f"--{name}-{end}", type=float, default=None)
     sub.add_argument("--fn", action="store_true", help="add the FN column (1D only)")
     sub.set_defaults(func=cmd_sweep)
 
@@ -189,12 +183,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # io.UnsupportedOperation is both; it counts as a usage error
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

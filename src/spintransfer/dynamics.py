@@ -181,6 +181,16 @@ _FLIPPED = {n: [np.flatnonzero(psi[:, p] < 0) for p in range(1, n)] for n, psi i
 _TRIG_EPS = 4.0
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """value as a float array; ValueError, naming it and its dtype, unless
+    that dtype is integer or floating (a bool, a string, a complex number
+    or an object is not a real number)."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an integer or floating array, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def _sign_curvature(rows: np.ndarray) -> np.ndarray:
     """M = (1/2) sum_g d_1g**2 per row: |P_{k0 m}''(tau)| <= M for every m, k0, tau.
 
@@ -236,16 +246,18 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     for bit the same whichever other rows and times share the call.
 
     taus is one grid of K times shared by all rows, or a (G, K) array
-    holding row c's own times in taus[c].  Every row value and every tau
-    must be finite, and so must every angle d_1g tau; ValueError says which
-    is not before any probability is evaluated.
+    holding row c's own times in taus[c]; K may be 0, which gives a
+    (G, N, 0) array.  rows and taus must have an integer or floating
+    dtype (not bool, str, complex or object), every row value and every
+    tau must be finite, and so must every angle d_1g tau; ValueError says
+    which is not before any probability is evaluated.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = _real_array("rows", rows)
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] not in _FLIPPED:
         raise ValueError(f"rows must have shape (G, N), G >= 1, N = 2, 4 or 8, got {rows.shape}")
     n_points, n = rows.shape
     _check_node(k0, n)
-    taus = np.asarray(taus, dtype=float)
+    taus = _real_array("taus", taus)
     if not (taus.ndim == 1 or taus.ndim == 2 and taus.shape[0] == n_points):
         raise ValueError(f"taus must have shape (K,) or ({n_points}, K), got {taus.shape}")
     _check_angles(_finite_max("rows", rows), _finite_max("taus", taus))
@@ -271,8 +283,9 @@ def sign_probability_grid(rows: np.ndarray, k0: int, taus: np.ndarray) -> np.nda
     del angles, sin, cos
     # Walsh-Hadamard transform, one butterfly per level: low[a, c] and
     # high[a, c] are the slabs p = 2 a 2**bit + c and p + 2**bit, c < 2**bit.
+    # The leading size is given, not -1, which numpy cannot infer when K = 0.
     for bit in range(n.bit_length() - 1):
-        low, high = e.reshape(-1, 2, 1 << bit, *e.shape[1:]).swapaxes(0, 1)
+        low, high = e.reshape(n >> (bit + 1), 2, 1 << bit, *e.shape[1:]).swapaxes(0, 1)
         plus = low + high
         np.subtract(low, high, out=high)
         low[...] = plus

@@ -317,6 +317,11 @@ def hpst_times(system: System, T: float, dtau: float, p0: float = 0.9):
     the neighboring points.  Returns (records, window) where window is
     the largest tau_star once every node has a record, and None while
     any node is missing one.
+
+    The records and the window rest on the grid samples: a node whose
+    P reaches p0 only between two samples gets no record, and the
+    parabolic tau_star and p_star are estimates, not bounds, of the
+    continuous-time peak.
     """
     _check_finite(p0=p0)
     taus = tau_grid(T, dtau)

@@ -1,6 +1,7 @@
 """Command-line behavior: CSV output, summaries, exit codes."""
 
 import argparse
+import io
 import os
 import subprocess
 import sys
@@ -273,6 +274,42 @@ def test_sweep_box_grid(tmp_path, capsys):
     assert best[2] >= 0.9
 
 
+_README_SWEEP = ["sweep", "--system", "rect-along", "--delta-min", "2", "--delta-max", "7",
+                 "--delta-step", "0.01", "--T", "3.5"]
+_README_INTERVALS = "HPST interval: [2.33, 2.54]\nHPST interval: [2.62, 6.08]\n"
+
+
+@pytest.mark.parametrize("fn", [[], ["--fn"]], ids=["fp", "fn"])
+def test_sweep_prints_exactly_its_intervals(tmp_path, capsys, fn):
+    # the FN column changes the CSV, not the summary
+    assert main([*_README_SWEEP, *fn, "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr() == (_README_INTERVALS, "")
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["--system", "rect-along", "--delta-min", "0.55", "--delta-max", "0.60", "--T", "2.0"],
+         "no HPST interval found\n"),
+        (["--system", "box", "--delta1-min", "9", "--delta1-max", "9", "--delta2-min", "26",
+          "--delta2-max", "26.4", "--delta2-step", "0.1", "--T", "25"], "HPST points: 1 of 5\n"),
+    ],
+    ids=["empty", "box"],
+)
+def test_sweep_prints_exactly_its_summary(tmp_path, capsys, argv, summary):
+    assert main(["sweep", *argv, "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr() == (summary, "")
+
+
+def test_sweep_to_an_unwritable_path_is_io_error(tmp_path, capsys):
+    # the summary is printed only once the CSV is written
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*_README_SWEEP, "--out", str(out)]) == 3
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
 def test_sweep_rejects_chain2(tmp_path):
     code = main(
         ["sweep", "--system", "chain2", "--T", "2", "--out", str(tmp_path / "x.csv")]
@@ -407,6 +444,31 @@ def test_verify_fails_on_tampered_suite(monkeypatch, capsys):
     )
     assert main(["verify"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_prints_every_suite_and_fails_on_any(monkeypatch, capsys):
+    suites = [
+        SuiteResult("closed-forms", 1e-13, 1e-10, True),
+        SuiteResult("concurrence", 0.5, 1e-10, False),
+        SuiteResult("negativity", 2e-16, 1e-10, True),
+    ]
+    monkeypatch.setattr("spintransfer.cli.run_all", lambda: suites)
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == (
+        "closed-forms max_dev=1e-13 tol=1e-10 PASS\n"
+        "concurrence max_dev=0.5 tol=1e-10 FAIL\n"
+        "negativity max_dev=2e-16 tol=1e-10 PASS\n"
+    )
+
+
+def test_unsupported_operation_is_usage_error(monkeypatch, capsys):
+    # io.UnsupportedOperation is both a ValueError and an OSError
+    def unsupported():
+        raise io.UnsupportedOperation("not writable")
+
+    monkeypatch.setattr("spintransfer.cli.run_all", unsupported)
+    assert main(["verify"]) == 2
+    assert capsys.readouterr() == ("", "error: not writable\n")
 
 
 def test_unwritable_output_is_io_error(tmp_path):

@@ -529,6 +529,40 @@ def test_sign_kernel_rejects_bad_input():
             sign_probability_grid(np.zeros((1, 4)), 1, taus)
 
 
+def test_sign_kernel_takes_an_empty_grid():
+    # K = 0 samples, on a shared grid and as per-row times
+    rng = np.random.default_rng(19)
+    for kind, rows in _rows_of_every_kind(rng, count=3):
+        n = rows.shape[1]
+        for k0 in range(1, n + 1):
+            assert sign_probability_grid(rows, k0, []).shape == (3, n, 0)
+            assert sign_probability_grid(rows, k0, np.empty((3, 0))).shape == (3, n, 0)
+            assert sign_probability_grid(rows[:1], k0, np.empty((1, 0))).shape == (1, n, 0)
+        system = System(kind, **{name: 2.0 for name in KINDS[kind][1]})
+        assert system.probability_grid(np.array([])).shape == (n, 0)
+
+
+# (rows, taus) of each dtype that holds no real numbers
+_NOT_REAL = {
+    "bool": ([[False, True]], [True, False]),
+    "str": ([["0", "1"]], ["1"]),
+    "complex": ([[0.0, 1j]], [0.0, 1j]),
+    "object": ([[0.0, None]], [1.0, None]),
+}
+
+
+@pytest.mark.parametrize("dtype", _NOT_REAL)
+@pytest.mark.parametrize("argument", ["rows", "taus"])
+def test_sign_kernel_refuses_arrays_that_are_not_real(argument, dtype):
+    # a bool or a string was read as a number, and a complex number failed
+    # in float(); the message names the argument and its dtype
+    given = {"rows": [[0.0, 1.0]], "taus": [0.0, 1.0]}
+    given[argument] = _NOT_REAL[dtype][argument == "taus"]
+    message = f"{argument} must be an integer or floating array, got dtype {np.asarray(given[argument]).dtype}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sign_probability_grid(given["rows"], 1, given["taus"])
+
+
 def test_density_element_definition():
     state = evolve(System("rect-along", delta=4.3).spectrum(), 1, 1.7)
     f = state.amplitudes
